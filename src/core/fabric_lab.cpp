@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "net/fabric_graph.hpp"
@@ -20,8 +21,10 @@ namespace {
 
 /// One unidirectional bulk stream of a tenant.
 struct StreamSpec {
-  int src_rank = 0;
+  int src_rank = 0;  ///< world rank: every job's ranks in job order
   int dst_rank = 0;
+  int src_node = 0;
+  int dst_node = 0;
   std::size_t bytes = 0;
   int iterations = 0;
   double gap = 0.0;  ///< open-loop injection period (0 = back-to-back)
@@ -34,6 +37,13 @@ struct TenantAccum {
   double bytes = 0.0;
   double finish = 0.0;
   std::vector<double> latencies;
+
+  /// One message of `msg_bytes` delivered at `now`, scheduled at `due`.
+  void deliver(std::size_t msg_bytes, double now, double due) {
+    bytes += static_cast<double>(msg_bytes);
+    finish = std::max(finish, now);
+    latencies.push_back(now - due);
+  }
 };
 
 struct LinkAccum {
@@ -77,10 +87,7 @@ sim::Coro receiver(mpi::World& w, StreamSpec s, int data_numa, RunState* st) {
   TenantAccum& acc = st->tenants[s.tenant];
   for (int i = 0; i < s.iterations; ++i) {
     co_await *w.irecv(s.dst_rank, s.src_rank, s.tag, msg);
-    const double now = w.engine().now();
-    acc.bytes += static_cast<double>(s.bytes);
-    acc.finish = std::max(acc.finish, now);
-    acc.latencies.push_back(now - static_cast<double>(i) * s.gap);
+    acc.deliver(s.bytes, w.engine().now(), static_cast<double>(i) * s.gap);
     // Sample every fabric link at this delivery: deterministic (event
     // order is), and concentrated where utilization actually changes.
     st->sample_links();
@@ -117,6 +124,90 @@ std::vector<std::pair<int, int>> stream_pairs(const JobSpec& job) {
   return pairs;
 }
 
+/// What both runners inject: the tenants, the nodes they span and every
+/// stream of every tenant — silenced ones too, so stream identities and
+/// the probe grid are identical across label subsets and runners.
+struct StreamPlan {
+  std::vector<JobSpec> jobs;    ///< the scenario's, or the default pair
+  std::vector<int> rank_node;   ///< world rank -> node
+  int nodes = 2;                ///< cluster size: highest node + 1, >= 2
+  std::vector<StreamSpec> streams;  ///< job order, then pattern order
+  double probe_period = 0.0;    ///< smallest injecting tenant's gap, 0 = none
+};
+
+StreamPlan plan_streams(const Scenario& scenario) {
+  StreamPlan plan;
+  plan.jobs = scenario.jobs;
+  if (plan.jobs.empty()) {
+    JobSpec j;
+    j.nodes = {0, 1};
+    plan.jobs.push_back(std::move(j));
+  }
+  const double wire_rate = scenario.network.wire_bw;
+  int next_tag = 1000;
+  std::uint64_t next_buffer = 0;
+  for (std::size_t j = 0; j < plan.jobs.size(); ++j) {
+    const JobSpec& job = plan.jobs[j];
+    const int first_rank = static_cast<int>(plan.rank_node.size());
+    for (int node : job.nodes) {
+      if (node < 0)
+        throw std::invalid_argument("FabricLab: job '" + job.label +
+                                    "' places a rank on node " + std::to_string(node) +
+                                    "; nodes are numbered from 0");
+      plan.nodes = std::max(plan.nodes, node + 1);
+      plan.rank_node.push_back(node);
+    }
+    const double gap = job.offered_load > 0.0
+                           ? static_cast<double>(job.message_bytes) /
+                                 (wire_rate * job.offered_load)
+                           : 0.0;
+    const std::vector<std::pair<int, int>> pairs = stream_pairs(job);
+    for (auto [src, dst] : pairs) {
+      StreamSpec s;
+      s.src_rank = first_rank + src;
+      s.dst_rank = first_rank + dst;
+      s.src_node = job.nodes[static_cast<std::size_t>(src)];
+      s.dst_node = job.nodes[static_cast<std::size_t>(dst)];
+      s.bytes = job.message_bytes;
+      s.iterations = job.iterations;
+      s.gap = gap;
+      s.tag = next_tag;
+      next_tag += 2;
+      s.buffer_id = 0x5000 + next_buffer++;
+      s.tenant = j;
+      plan.streams.push_back(s);
+    }
+    if (job.offered_load > 0.0 && job.iterations > 0 && !pairs.empty())
+      plan.probe_period = plan.probe_period > 0.0 ? std::min(plan.probe_period, gap) : gap;
+  }
+  return plan;
+}
+
+/// Tenant rows and run totals from per-shard accumulators (run() has one
+/// set, run_sharded() one per shard).
+void report_tenants(FabricReport& report, const std::vector<JobSpec>& jobs,
+                    const std::vector<const std::vector<TenantAccum>*>& parts) {
+  report.tenants.reserve(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    TenantReport t;
+    t.label = jobs[j].label;
+    std::vector<double> lat;
+    for (const std::vector<TenantAccum>* part : parts) {
+      const TenantAccum& a = (*part)[j];
+      t.bytes += a.bytes;
+      t.finish = std::max(t.finish, a.finish);
+      lat.insert(lat.end(), a.latencies.begin(), a.latencies.end());
+    }
+    t.achieved_bw = t.finish > 0.0 ? t.bytes / t.finish : 0.0;
+    // Stats::of sorts, so the shard-order concatenation is harmless.
+    t.delivery_latency = trace::Stats::of(std::move(lat));
+    report.total_bytes += t.bytes;
+    report.elapsed = std::max(report.elapsed, t.finish);
+    report.tenants.push_back(std::move(t));
+  }
+  report.aggregate_bw = report.elapsed > 0.0 ? report.total_bytes / report.elapsed : 0.0;
+}
+
 }  // namespace
 
 const TenantReport* FabricReport::tenant(std::string_view label) const {
@@ -136,33 +227,25 @@ FabricReport FabricLab::run(std::string_view only) {
 }
 
 FabricReport FabricLab::run(const std::vector<std::string>& labels) {
-  std::vector<JobSpec> jobs = scenario_.jobs;
-  if (jobs.empty()) {
-    JobSpec j;
-    j.nodes = {0, 1};
-    jobs.push_back(std::move(j));
-  }
-  int nodes = 2;
-  for (const JobSpec& j : jobs)
-    for (int n : j.nodes) nodes = std::max(nodes, n + 1);
+  const StreamPlan plan = plan_streams(scenario_);
+  for (const std::string& label : labels)
+    if (std::none_of(plan.jobs.begin(), plan.jobs.end(),
+                     [&](const JobSpec& j) { return j.label == label; }))
+      throw std::invalid_argument("FabricLab::run: no job is labelled '" + label + "'");
 
   cluster_ = std::make_unique<net::Cluster>(net::ClusterSpec{
-      scenario_.machine, scenario_.network, scenario_.topology, nodes, scenario_.seed});
+      scenario_.machine, scenario_.network, scenario_.topology, plan.nodes, scenario_.seed});
   cluster_->enable_route_trace(true);
 
-  // All jobs' ranks exist even when `only` restricts the traffic, so the
+  // All jobs' ranks exist even when `labels` restricts the traffic, so the
   // alone/together runs share placement, comm cores and routing state.
   std::vector<mpi::RankConfig> ranks;
-  std::vector<std::vector<int>> world_rank(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j)
-    for (int node : jobs[j].nodes) {
-      world_rank[j].push_back(static_cast<int>(ranks.size()));
-      ranks.push_back({node, -1});
-    }
+  ranks.reserve(plan.rank_node.size());
+  for (int node : plan.rank_node) ranks.push_back({node, -1});
   world_ = std::make_unique<mpi::World>(*cluster_, std::move(ranks));
 
   RunState st;
-  st.tenants.resize(jobs.size());
+  st.tenants.resize(plan.jobs.size());
   st.links = cluster_->fabric_links();
   st.link_acc.resize(st.links.size());
   st.link_hist.reserve(st.links.size());
@@ -170,65 +253,23 @@ FabricReport FabricLab::run(const std::vector<std::string>& labels) {
     st.link_hist.push_back(
         &obs::Registry::global().histogram("net." + r->name() + ".utilization"));
 
-  const double wire_rate = scenario_.network.wire_bw;
-  int next_tag = 1000;
-  int next_buffer = 0;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const JobSpec& job = jobs[j];
-    // Tag/buffer ids advance for skipped jobs too: stream identities are
-    // identical between alone and together runs.
-    for (auto [src, dst] : stream_pairs(job)) {
-      StreamSpec s;
-      s.src_rank = world_rank[j][static_cast<std::size_t>(src)];
-      s.dst_rank = world_rank[j][static_cast<std::size_t>(dst)];
-      s.bytes = job.message_bytes;
-      s.iterations = job.iterations;
-      s.gap = job.offered_load > 0.0
-                  ? static_cast<double>(job.message_bytes) / (wire_rate * job.offered_load)
-                  : 0.0;
-      s.tag = next_tag;
-      next_tag += 2;
-      s.buffer_id = 0x5000 + static_cast<std::uint64_t>(next_buffer++);
-      s.tenant = j;
-      if (!labels.empty() &&
-          std::find(labels.begin(), labels.end(), job.label) == labels.end())
-        continue;
-      const int numa = scenario_.machine.nic_numa;
-      st.remaining += static_cast<std::uint64_t>(job.iterations);
-      world_->engine().spawn(sender(*world_, s, numa));
-      world_->engine().spawn(receiver(*world_, s, numa, &st));
-    }
+  const int numa = scenario_.machine.nic_numa;
+  for (const StreamSpec& s : plan.streams) {
+    const std::string& label = plan.jobs[s.tenant].label;
+    if (!labels.empty() && std::find(labels.begin(), labels.end(), label) == labels.end())
+      continue;
+    st.remaining += static_cast<std::uint64_t>(s.iterations);
+    world_->engine().spawn(sender(*world_, s, numa));
+    world_->engine().spawn(receiver(*world_, s, numa, &st));
   }
   // The probe grid derives from every tenant — silenced ones too — so the
   // alone/together runs of the slowdown matrix sample identical instants.
-  if (!st.links.empty() && st.remaining > 0) {
-    double period = 0.0;
-    for (const JobSpec& job : jobs) {
-      if (job.offered_load <= 0.0 || job.iterations <= 0) continue;
-      if (stream_pairs(job).empty()) continue;
-      const double gap =
-          static_cast<double>(job.message_bytes) / (wire_rate * job.offered_load);
-      period = period > 0.0 ? std::min(period, gap) : gap;
-    }
-    if (period > 0.0)
-      world_->engine().spawn(link_probe(world_->engine(), period, &st));
-  }
+  if (!st.links.empty() && st.remaining > 0 && plan.probe_period > 0.0)
+    world_->engine().spawn(link_probe(world_->engine(), plan.probe_period, &st));
   cluster_->engine().run();
 
   FabricReport report;
-  report.tenants.reserve(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    TenantReport t;
-    t.label = jobs[j].label;
-    t.bytes = st.tenants[j].bytes;
-    t.finish = st.tenants[j].finish;
-    t.achieved_bw = t.finish > 0.0 ? t.bytes / t.finish : 0.0;
-    t.delivery_latency = trace::Stats::of(std::move(st.tenants[j].latencies));
-    report.total_bytes += t.bytes;
-    report.elapsed = std::max(report.elapsed, t.finish);
-    report.tenants.push_back(std::move(t));
-  }
-  report.aggregate_bw = report.elapsed > 0.0 ? report.total_bytes / report.elapsed : 0.0;
+  report_tenants(report, plan.jobs, {&st.tenants});
   report.links.reserve(st.links.size());
   for (std::size_t li = 0; li < st.links.size(); ++li) {
     LinkReport lr;
@@ -253,7 +294,7 @@ FabricReport FabricLab::run(const std::vector<std::string>& labels) {
       case net::Topology::Kind::kFatTree: {
         const int ls = topo.host_switch(rc.src);
         const int ld = topo.host_switch(rc.dst);
-        if (ls != ld && rc.via != (ls + ld) % (topo.param_k() / 2)) ++report.reroutes;
+        if (ls != ld && rc.via != topo.minimal_spine(ls, ld)) ++report.reroutes;
         break;
       }
       case net::Topology::Kind::kDragonfly:
@@ -306,10 +347,7 @@ sim::Coro fluid_stream(sim::Engine& eng, FluidShard* fs, StreamSpec s,
     spec.work = static_cast<double>(s.bytes);
     for (sim::Resource* r : path) spec.demands.push_back({r, 1.0});
     co_await *fs->model->start(spec);
-    const double now = eng.now();
-    acc.bytes += static_cast<double>(s.bytes);
-    acc.finish = std::max(acc.finish, now);
-    acc.latencies.push_back(now - static_cast<double>(i) * s.gap);
+    acc.deliver(s.bytes, eng.now(), due);
     fs->sample_links();
   }
 }
@@ -317,58 +355,35 @@ sim::Coro fluid_stream(sim::Engine& eng, FluidShard* fs, StreamSpec s,
 }  // namespace
 
 FabricReport FabricLab::run_sharded(int shards) {
-  std::vector<JobSpec> jobs = scenario_.jobs;
-  if (jobs.empty()) {
-    JobSpec j;
-    j.nodes = {0, 1};
-    jobs.push_back(std::move(j));
-  }
-  int nodes = 2;
-  for (const JobSpec& j : jobs)
-    for (int n : j.nodes) nodes = std::max(nodes, n + 1);
+  const net::Topology& topo = scenario_.topology;
+  if (topo.routing() != net::RoutingPolicy::kMinimal)
+    throw std::invalid_argument(
+        "FabricLab::run_sharded: adaptive routing needs global utilization and "
+        "the cluster RNG; sharded fabrics route minimally");
+  const StreamPlan plan = plan_streams(scenario_);
+  const std::vector<JobSpec>& jobs = plan.jobs;
   if (shards <= 0) shards = sim::configured_shards();
 
-  const net::Topology& topo = scenario_.topology;
-  net::FabricGraph shape(topo, scenario_.network, nodes);
+  net::FabricGraph shape(topo, scenario_.network, plan.nodes);
 
-  // Streams with run()'s tag/buffer/gap bookkeeping, plus their static
-  // minimal route and owning shard (the source node's topology group).
+  // Each stream's static minimal route and owning shard (the source node's
+  // topology group).
   struct Stream {
     StreamSpec spec;
-    int src_node = 0;
-    int dst_node = 0;
     int shard = 0;
     std::vector<int> keys;
   };
-  const double wire_rate = scenario_.network.wire_bw;
   const std::vector<int> group_shard =
-      sim::partition_groups(topo.group_graph(nodes), shards);
+      sim::partition_groups(topo.group_graph(plan.nodes), shards);
   std::vector<Stream> streams;
-  int next_tag = 1000;
-  int next_buffer = 0;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const JobSpec& job = jobs[j];
-    for (auto [src, dst] : stream_pairs(job)) {
-      Stream st;
-      st.spec.src_rank = src;
-      st.spec.dst_rank = dst;
-      st.spec.bytes = job.message_bytes;
-      st.spec.iterations = job.iterations;
-      st.spec.gap = job.offered_load > 0.0
-                        ? static_cast<double>(job.message_bytes) /
-                              (wire_rate * job.offered_load)
-                        : 0.0;
-      st.spec.tag = next_tag;
-      next_tag += 2;
-      st.spec.buffer_id = 0x5000 + static_cast<std::uint64_t>(next_buffer++);
-      st.spec.tenant = j;
-      st.src_node = job.nodes[static_cast<std::size_t>(src)];
-      st.dst_node = job.nodes[static_cast<std::size_t>(dst)];
-      const int g = topo.group_of_node(st.src_node);
-      st.shard = g >= 0 ? group_shard[static_cast<std::size_t>(g)] : 0;
-      shape.minimal_path(st.src_node, st.dst_node, st.keys);
-      streams.push_back(std::move(st));
-    }
+  streams.reserve(plan.streams.size());
+  for (const StreamSpec& spec : plan.streams) {
+    Stream st;
+    st.spec = spec;
+    const int g = topo.group_of_node(spec.src_node);
+    st.shard = g >= 0 ? group_shard[static_cast<std::size_t>(g)] : 0;
+    shape.minimal_path(spec.src_node, spec.dst_node, st.keys);
+    streams.push_back(std::move(st));
   }
 
   // Boundary set: keys whose static routes span several shards.
@@ -419,7 +434,7 @@ FabricReport FabricLab::run_sharded(int shards) {
     group.with_shard(s, [&, s](sim::Engine& eng) {
       auto fs = std::make_unique<FluidShard>();
       fs->fabric =
-          std::make_unique<net::FabricGraph>(topo, scenario_.network, nodes);
+          std::make_unique<net::FabricGraph>(topo, scenario_.network, plan.nodes);
       fs->model = std::make_unique<sim::FlowModel>(eng);
       fs->fabric->materialize(*fs->model);
       fs->tenants.resize(jobs.size());
@@ -503,25 +518,11 @@ FabricReport FabricLab::run_sharded(int shards) {
     for (const Stream& st : streams) ++streams_on[static_cast<std::size_t>(st.shard)];
     for (int c : streams_on) report.populated_shards += c > 0 ? 1 : 0;
   }
-  report.tenants.reserve(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    TenantReport t;
-    t.label = jobs[j].label;
-    std::vector<double> lat;
-    for (int s = 0; s < shards; ++s) {
-      TenantAccum& a = ctx[static_cast<std::size_t>(s)]->tenants[j];
-      t.bytes += a.bytes;
-      t.finish = std::max(t.finish, a.finish);
-      lat.insert(lat.end(), a.latencies.begin(), a.latencies.end());
-    }
-    t.achieved_bw = t.finish > 0.0 ? t.bytes / t.finish : 0.0;
-    // Stats::of sorts, so the shard-order concatenation is harmless.
-    t.delivery_latency = trace::Stats::of(std::move(lat));
-    report.total_bytes += t.bytes;
-    report.elapsed = std::max(report.elapsed, t.finish);
-    report.tenants.push_back(std::move(t));
+  {
+    std::vector<const std::vector<TenantAccum>*> parts;
+    for (const std::unique_ptr<FluidShard>& fs : ctx) parts.push_back(&fs->tenants);
+    report_tenants(report, jobs, parts);
   }
-  report.aggregate_bw = report.elapsed > 0.0 ? report.total_bytes / report.elapsed : 0.0;
 
   // Link means from delivered-byte integrals (exact and shard-invariant);
   // peaks from delivery-event samples plus the barrier probe.
@@ -553,7 +554,7 @@ FabricReport FabricLab::run_sharded(int shards) {
   // note_route fires once per cross-switch message).
   for (const Stream& st : streams)
     if (topo.kind() != net::Topology::Kind::kSingleSwitch &&
-        topo.host_switch(st.src_node) != topo.host_switch(st.dst_node))
+        topo.host_switch(st.spec.src_node) != topo.host_switch(st.spec.dst_node))
       report.routes += static_cast<std::uint64_t>(st.spec.iterations);
   for (int s = 0; s < shards; ++s) {
     report.solver_flow_visits +=

@@ -78,12 +78,14 @@ class FabricLab {
   /// Run the scenario's jobs to completion on a fresh cluster and report.
   /// A non-empty `only` runs just the tenant with that label on the same
   /// fabric — the "alone" baseline of the victim/aggressor slowdown
-  /// matrix, with identical placement and routing.
+  /// matrix, with identical placement and routing.  Both runners throw
+  /// std::invalid_argument for a job with a negative node index.
   FabricReport run(std::string_view only = {});
   /// Run only the tenants whose labels appear in `labels` (empty = all):
   /// the "together" cells of the slowdown matrix pair a victim with one
   /// aggressor while every other tenant stays silent.  Placement, stream
-  /// tags and buffer ids are identical across subsets.
+  /// tags and buffer ids are identical across subsets.  A label no job
+  /// carries throws std::invalid_argument.
   FabricReport run(const std::vector<std::string>& labels);
   /// Braced label lists (`run({"victim", "aggressor"})`) would otherwise be
   /// ambiguous against the string_view overload's C++20 iterator-pair
@@ -107,11 +109,11 @@ class FabricLab {
   /// barriers — and bitwise-identical across runs; at a fixed shard count
   /// > 1 runs are bitwise run-to-run deterministic (mailbox lanes and the
   /// exchange are drained in deterministic order).  Requires kMinimal
-  /// routing: adaptive routing reads global utilization and the cluster
-  /// RNG, neither of which survives the carve.  This is the fluid-fabric
-  /// model (tx port, crossbars, links, rx port; no NIC/DMA stages), so
-  /// compare run_sharded results across shard counts and against each
-  /// other — not against run().
+  /// routing (std::invalid_argument otherwise): adaptive routing reads
+  /// global utilization and the cluster RNG, neither of which survives
+  /// the carve.  This is the fluid-fabric model (tx port, crossbars,
+  /// links, rx port; no NIC/DMA stages), so compare run_sharded results
+  /// across shard counts and against each other — not against run().
   FabricReport run_sharded(int shards = 0);
 
   /// Cluster of the most recent run().  Route traces are always recorded

@@ -1,12 +1,14 @@
 // Cluster: N simulated nodes joined by one fabric.
 //
 // Owns the engine, the flow model, the machines, their NICs and the fabric
-// resources described by a net::Topology (per-node tx/rx ports, switch
-// crossbars, inter-switch links).  This is the top-level object every
-// experiment builds.  fabric_path() resolves the resource chain a bulk
-// transfer crosses, delegating spine/gateway selection to the topology's
+// resources of a net::Topology (per-node tx/rx ports, switch crossbars,
+// inter-switch links), which it creates from the keys of a
+// net::FabricGraph.  This is the top-level object every experiment builds.
+// fabric_path() resolves the resource chain a bulk transfer crosses: the
+// cluster picks the spine or intermediate group under the topology's
 // RoutingPolicy (kAdaptive consults current link utilizations and breaks
-// ties through the cluster RNG — deterministic for a given seed).
+// ties through the cluster RNG — deterministic for a given seed), and
+// FabricGraph::route builds the chain.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "hw/machine.hpp"
+#include "net/fabric_graph.hpp"
 #include "net/nic.hpp"
 #include "net/network_params.hpp"
 #include "net/topology.hpp"
@@ -27,8 +30,7 @@ namespace cci::net {
 class FaultState;
 
 /// Everything a Cluster needs, in one spec — new fabric knobs extend this
-/// struct instead of widening the constructor (same collapse `core::Sweep`
-/// callers got with SweepSpec in PR 4).
+/// struct instead of widening the constructor.
 struct ClusterSpec {
   hw::MachineConfig machine = hw::MachineConfig::henri();
   NetworkParams network = NetworkParams::ib_edr();
@@ -39,13 +41,6 @@ struct ClusterSpec {
 
 class Cluster {
  public:
-  /// Legacy fabric knob, kept for the back-compat constructor below; new
-  /// code selects `Topology::single_switch(oversubscription)` (or a real
-  /// graph) through ClusterSpec::topology.
-  struct FabricOptions {
-    double oversubscription = 1.0;
-  };
-
   /// Resource chain of one fabric traversal.  Inline up to the longest
   /// route any builder emits (dragonfly via an intermediate group: 13),
   /// so multi-hop paths never heap-allocate per message (PR 5 guard).
@@ -53,14 +48,10 @@ class Cluster {
 
   explicit Cluster(ClusterSpec spec);
 
-  // Thin back-compat overloads over ClusterSpec.
+  /// Single-switch shorthand over ClusterSpec.
   Cluster(hw::MachineConfig config, NetworkParams net, int nodes = 2, std::uint64_t seed = 42)
       : Cluster(ClusterSpec{std::move(config), std::move(net), Topology::single_switch(),
                             nodes, seed}) {}
-  Cluster(hw::MachineConfig config, NetworkParams net, int nodes, std::uint64_t seed,
-          FabricOptions fabric)
-      : Cluster(ClusterSpec{std::move(config), std::move(net),
-                            Topology::single_switch(fabric.oversubscription), nodes, seed}) {}
   ~Cluster();
 
   sim::Engine& engine() { return engine_; }
@@ -70,24 +61,16 @@ class Cluster {
   hw::Machine& machine(int node) { return *machines_.at(static_cast<std::size_t>(node)); }
   Nic& nic(int node) { return *nics_.at(static_cast<std::size_t>(node)); }
   const NetworkParams& net() const { return net_; }
-  const Topology& topology() const { return topology_; }
+  const Topology& topology() const { return fabric_.topology(); }
 
   /// Wire-unreliability state (loss/corruption windows, NIC blackouts) the
   /// transport consults per message.  Inert until a FaultInjector arms it.
   FaultState& faults();
 
-  [[deprecated(
-      "single-crossbar accessor from the pre-topology fabric; use "
-      "find_link(\"switch\") for the single-switch crossbar, fabric_path() for "
-      "the resources a transfer crosses, or fabric_resources() for the whole "
-      "switch/link graph")]]
-  sim::Resource* wire() {
-    return switch_xbars_.front();
-  }
-
   /// Node uplink ports, one per direction (ingress/egress contention).
-  sim::Resource* tx_port(int node) { return tx_ports_.at(static_cast<std::size_t>(node)); }
-  sim::Resource* rx_port(int node) { return rx_ports_.at(static_cast<std::size_t>(node)); }
+  /// Throw std::out_of_range for a node outside the cluster.
+  sim::Resource* tx_port(int node);
+  sim::Resource* rx_port(int node);
 
   /// Every switch crossbar and inter-switch link of the fabric, creation
   /// order (crossbars first).  Single-switch: exactly the one crossbar.
@@ -136,35 +119,31 @@ class Cluster {
   /// Conservative cross-group PDES lookahead on this fabric
   /// (Topology::min_remote_delay over the cluster's NetworkParams).
   [[nodiscard]] double shard_lookahead() const {
-    return topology_.min_remote_delay(net_);
+    return topology().min_remote_delay(net_);
   }
 
  private:
-  /// Append the switch-traversal resources (crossbars + links) of the
-  /// chosen route; tx/rx ports are added by fabric_path itself.
-  void route_fat_tree(int src, int dst, FabricPath& path);
-  void route_dragonfly(int src, int dst, FabricPath& path);
-  /// Within-group dragonfly hop r1 -> r2 (xbar(r1) already pushed).
-  void dragonfly_hop(int r1, int r2, FabricPath& path);
-  [[nodiscard]] sim::Resource* link_between(int s1, int s2) const;
+  /// Route decision for a multi-switch transfer: the `via` handed to
+  /// FabricGraph::route, recorded in the route trace when the transfer
+  /// leaves its edge switch.
+  int choose_via(int src, int dst);
+  /// Fat-tree spine between two distinct leaves.
+  int spine_via(int ls, int ld);
+  /// Dragonfly intermediate group between two routers, -1 for minimal.
+  int group_via(int rs, int rd);
   [[nodiscard]] double link_utilization(int s1, int s2) const;
   void note_route(int src, int dst, int via);
 
   NetworkParams net_;
-  Topology topology_;
+  FabricGraph fabric_;
   sim::Engine engine_;
   sim::FlowModel model_;
   sim::Rng rng_;
   std::vector<std::unique_ptr<hw::Machine>> machines_;
   std::vector<std::unique_ptr<Nic>> nics_;
-  std::vector<sim::Resource*> tx_ports_;
-  std::vector<sim::Resource*> rx_ports_;
-  std::vector<sim::Resource*> switch_xbars_;   ///< per switch, topology order
-  std::vector<sim::Resource*> link_res_;       ///< per Topology::links() entry
   std::vector<sim::Resource*> fabric_resources_;  ///< xbars then links
-  std::vector<int> link_at_;  ///< dense (s1 * S + s2) -> links() index, -1 none
+  std::vector<sim::Resource*> link_res_;          ///< per Topology::links() entry
   std::vector<std::size_t> node_res_begin_;  ///< solver index where node i starts
-  std::size_t fabric_res_begin_ = 0;         ///< solver index of first xbar
   bool route_trace_enabled_ = false;
   // Route-trace ring: route_trace_ holds the last route_trace_cap_
   // decisions, route_trace_head_ is the slot the next one overwrites once

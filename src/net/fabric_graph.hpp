@@ -1,32 +1,34 @@
-// FabricGraph: per-shard fluid replica of a Cluster's fabric resources.
+// FabricGraph: the one description of a fabric's resources and routes.
 //
-// Cross-shard fabric simulation (core::FabricLab::run_sharded) runs every
-// stream as one fluid activity on its source node's shard, over that
-// shard's *own* copy of the fabric — tx/rx ports, switch crossbars, links
-// — built by this class with exactly the Cluster's names, capacities and
-// registration order.  Resources the static routes of several shards
-// share become boundary proxies (sim::ShardGroup::add_boundary_link):
-// their replicas exchange capacity at every window barrier, so each
-// shard's local max-min solve sees the remote load as reduced capacity at
-// most one window stale.
-//
-// Keys are shard-independent integers (a pure function of the topology
-// shape), so the coordinator can plan routes and boundary sets before any
-// shard exists, and every shard's replica of key k sits at resource index
-// k in its own FlowModel:
+// Every fabric resource — per-node tx/rx ports, switch crossbars,
+// inter-switch links — has an integer key that is a pure function of the
+// topology shape and the node count:
 //
 //     tx(n) = n            rx(n) = N + n
 //     xbar(s) = 2N + s     link(li) = 2N + S + li
 //
-// Routing is kMinimal only — adaptive routing reads *global* link
-// utilization and draws the cluster RNG, neither of which exists once the
-// fabric is split; run_sharded rejects adaptive scenarios.
+// and this class owns everything derived from that shape: each key's
+// resource name and base capacity, the (switch, switch) -> link index and
+// the route a transfer takes.  Two users materialize it:
+//
+//  * net::Cluster creates each key's resource as it builds — ports
+//    interleaved with every node's machine and NIC resources, then the
+//    crossbars and links — and routes every fabric_path() through route().
+//    Cluster decides only the adaptive `via` (spine or intermediate group)
+//    from live link utilization and its RNG.
+//  * core::FabricLab::run_sharded builds one full replica per shard
+//    (materialize(model): resource index == key) and plans static minimal
+//    routes on the coordinator before any shard exists.  Resources the
+//    routes of several shards share become boundary proxies
+//    (sim::ShardGroup::add_boundary_link).
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "net/network_params.hpp"
 #include "net/topology.hpp"
+#include "sim/pool.hpp"
 
 namespace cci::sim {
 class FlowModel;
@@ -37,57 +39,69 @@ namespace cci::net {
 
 class FabricGraph {
  public:
-  /// Shape-only construction: key space, minimal routes and base
-  /// capacities, no resources.  Usable from the coordinator for planning.
+  /// Key sequence of one route.  Inline up to the longest route any
+  /// builder emits (dragonfly via an intermediate group: 13 resources).
+  using Route = sim::SmallVec<int, 16>;
+
+  /// Shape-only construction: key space, names, base capacities and
+  /// routes, no resources yet.  Throws std::invalid_argument unless
+  /// 1 <= nodes <= topo.max_hosts() (when bounded).
   FabricGraph(const Topology& topo, const NetworkParams& net, int nodes);
 
-  /// Materialize every key as a resource of `model`, in key order, with
-  /// the Cluster's names and capacities.  The model must be empty so that
+  /// Create `key`'s resource in `model` with its name and base capacity.
+  sim::Resource* materialize(sim::FlowModel& model, int key);
+  /// Materialize every key in key order.  The model must be empty so that
   /// resource index == key (asserted); call inside ShardGroup::with_shard
   /// so pooled state binds to the worker thread.
   void materialize(sim::FlowModel& model);
 
+  [[nodiscard]] const Topology& topology() const { return topo_; }
   [[nodiscard]] int nodes() const { return nodes_; }
   [[nodiscard]] int key_count() const {
-    return 2 * nodes_ + switch_count_ + static_cast<int>(link_count_);
+    return 2 * nodes_ + switch_count_ + static_cast<int>(topo_.links().size());
   }
   [[nodiscard]] int tx_key(int node) const { return node; }
   [[nodiscard]] int rx_key(int node) const { return nodes_ + node; }
   [[nodiscard]] int xbar_key(int s) const { return 2 * nodes_ + s; }
   [[nodiscard]] int link_key(int li) const { return 2 * nodes_ + switch_count_ + li; }
-
-  /// Capacity the Cluster would give this resource (wire_bw scaled).
-  [[nodiscard]] double base_capacity(int key) const {
-    return base_cap_[static_cast<std::size_t>(key)];
-  }
-  /// Cluster-identical resource name for this key.
-  [[nodiscard]] const std::string& name(int key) const {
-    return names_[static_cast<std::size_t>(key)];
-  }
-  /// Materialized resource for `key` (nullptr before materialize()).
-  [[nodiscard]] sim::Resource* at(int key) const {
-    return res_[static_cast<std::size_t>(key)];
-  }
-
-  /// Append the minimal-route key sequence src -> dst (tx, xbars/links,
-  /// rx).  A pure function of the topology shape: never reads utilization,
-  /// never draws an RNG, identical on every shard and the coordinator.
-  void minimal_path(int src, int dst, std::vector<int>& keys) const;
-
- private:
+  /// Index into Topology::links() of the link s1 -> s2, -1 when absent.
   [[nodiscard]] int link_index(int s1, int s2) const {
     return link_at_[static_cast<std::size_t>(s1) *
                         static_cast<std::size_t>(switch_count_) +
                     static_cast<std::size_t>(s2)];
   }
 
+  /// Resource capacity (wire_bw scaled) before any degradation or proxy
+  /// exchange.
+  [[nodiscard]] double base_capacity(int key) const {
+    return base_cap_[static_cast<std::size_t>(key)];
+  }
+  /// Resource name: "node3.tx", "switch", "switch.leaf0", "link.g0.r1-g1.r0".
+  [[nodiscard]] std::string name(int key) const;
+  /// Materialized resource for `key` (nullptr before materialize()).
+  [[nodiscard]] sim::Resource* at(int key) const {
+    return res_[static_cast<std::size_t>(key)];
+  }
+
+  /// Append the keys a transfer src -> dst crosses: tx port, switch
+  /// traversal, rx port.  `via` is the fat-tree spine (0-based) or the
+  /// dragonfly intermediate group of a Valiant detour; -1 takes the
+  /// minimal route.  A pure function of the shape and `via`: never reads
+  /// utilization, never draws an RNG.
+  void route(int src, int dst, int via, Route& keys) const;
+  /// route(src, dst, -1) appended to a plain vector.
+  void minimal_path(int src, int dst, std::vector<int>& keys) const;
+
+ private:
+  /// Hop s1 -> s2 inside the switch graph (link then crossbar); none when
+  /// s1 == s2.
+  void hop(int s1, int s2, Route& keys) const;
+
   Topology topo_;
   int nodes_ = 0;
   int switch_count_ = 0;
-  std::size_t link_count_ = 0;
   std::vector<int> link_at_;  ///< link_at_[src * S + dst], -1 = no link
   std::vector<double> base_cap_;
-  std::vector<std::string> names_;
   std::vector<sim::Resource*> res_;
 };
 

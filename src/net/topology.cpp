@@ -82,14 +82,12 @@ Topology Topology::dragonfly(int groups, int routers, int hosts) {
             {g * routers + r1, g * routers + r2, LinkClass::kLocal, 1.0});
       }
   // One global link per ordered group pair, attached at deterministic
-  // gateway routers (see gateway_router below).
+  // gateway routers (see gateway_router).
   for (int g = 0; g < groups; ++g)
     for (int h = 0; h < groups; ++h) {
       if (g == h) continue;
-      const int src_r = (h + (h > g ? -1 : 0)) % routers;
-      const int dst_r = (g + (g > h ? -1 : 0)) % routers;
       t.links_.push_back(
-          {g * routers + src_r, h * routers + dst_r, LinkClass::kGlobal, 1.0});
+          {t.gateway_router(g, h), t.gateway_router(h, g), LinkClass::kGlobal, 1.0});
     }
   return t;
 }

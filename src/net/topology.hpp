@@ -15,12 +15,13 @@
 //    fabric (same resources, same names, same order, same paths).
 //  * fat_tree(k, oversub)         — two-level folded Clos: k leaf switches
 //    with k/2 host ports each, k/2 spines, one up and one down link per
-//    (leaf, spine) pair.  oversub scales uplink capacity (< 1 models the
-//    oversubscribed production trees of §"FabricOptions").
+//    (leaf, spine) pair.  oversub scales uplink capacity (< 1 models
+//    oversubscribed production trees).
 //  * dragonfly(groups, routers, hosts) — groups of fully-meshed routers
 //    ("hosts" hosts each), one global link per ordered group pair attached
-//    at a deterministic gateway router.  Global links carry a latency
-//    scale > 1, which feeds the per-link-class PDES lookahead.
+//    at deterministic gateway routers (gateway_router).  Global links
+//    carry a latency scale > 1, which feeds the per-link-class PDES
+//    lookahead.
 //
 // Routing is a pluggable policy resolved per flow registration:
 //  * kMinimal  — deterministic shortest path; ECMP-style spine/gateway
@@ -112,6 +113,18 @@ class Topology {
   [[nodiscard]] int max_hosts() const { return max_hosts_; }
   /// Edge switch node `n` plugs into.
   [[nodiscard]] int host_switch(int node) const;
+  /// Fat-tree: the static ECMP-style spine (0-based among the k/2 spines)
+  /// minimal routing takes between two leaves — a pure function of the
+  /// leaf pair.
+  [[nodiscard]] int minimal_spine(int leaf_a, int leaf_b) const {
+    return (leaf_a + leaf_b) % (k_ / 2);
+  }
+  /// Dragonfly: the switch in group `g` that terminates the global link
+  /// between groups g and h (g != h).  The link g -> h runs from
+  /// gateway_router(g, h) to gateway_router(h, g).
+  [[nodiscard]] int gateway_router(int g, int h) const {
+    return g * routers_ + (h + (h > g ? -1 : 0)) % routers_;
+  }
 
   // ---- groups (PDES carve boundaries) ---------------------------------------
   /// Topology groups are the units parallel simulation may carve at:

@@ -283,6 +283,18 @@ struct Session::Impl {
     return true;
   }
 
+  /// PCT priority of a newly registered thread: a function of the seed
+  /// and the thread's name only, not a draw from `rng`, because the order
+  /// threads register in is up to the OS.  The stream still advances once
+  /// per registration, which keeps the other modes' schedules per seed.
+  long long register_priority(const std::string& name) {
+    rng.discard(1);
+    std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a
+    for (unsigned char c : name) h = (h ^ c) * 0x100000001b3ull;
+    std::mt19937_64 g(opts.seed ^ h);
+    return static_cast<long long>(g() >> 1);
+  }
+
   std::size_t top_priority(const std::vector<std::string>& names) {
     std::size_t best = 0;
     for (std::size_t i = 1; i < names.size(); ++i)
@@ -348,7 +360,7 @@ struct Session::Impl {
     ts.st = ThreadState::St::kParked;
     ts.kind = Kind::kThreadBegin;
     ts.id = 0;
-    priority.emplace(ts.name, static_cast<long long>(rng() >> 1));
+    priority.emplace(ts.name, register_priority(ts.name));
     const auto it = threads.emplace(tid, std::move(ts)).first;
     ++progress_gen;
     decide_locked();
@@ -549,7 +561,7 @@ Session::Session(Options opts) : impl_(new Impl(std::move(opts))) {
     ts.base = ts.name = "main";
     ts.st = ThreadState::St::kRunning;
     ++impl_->name_counts["main"];
-    impl_->priority.emplace("main", static_cast<long long>(impl_->rng() >> 1));
+    impl_->priority.emplace("main", impl_->register_priority("main"));
     const auto tid = std::this_thread::get_id();
     impl_->threads.emplace(tid, std::move(ts));
     impl_->running = tid;

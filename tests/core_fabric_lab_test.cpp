@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -82,6 +84,34 @@ TEST(FabricLab, AggressorSlowsTheVictimOnTheSharedSpine) {
   FabricReport alone_report = lab.run("victim");
   EXPECT_EQ(alone_report.tenant("aggressor")->bytes, 0.0);
   EXPECT_EQ(alone_report.tenant("aggressor")->finish, 0.0);
+}
+
+TEST(FabricLab, NegativeNodeIsRejectedNamingTheJobAndNode) {
+  Scenario s;
+  s.topology = net::Topology::dragonfly(4, 2, 2);
+  s.jobs = {job("stray", {-1, 3})};
+  FabricLab lab(s);
+  try {
+    (void)lab.run();
+    FAIL() << "a rank on node -1 must be rejected";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'stray'"), std::string::npos) << what;
+    EXPECT_NE(what.find("node -1"), std::string::npos) << what;
+  }
+}
+
+TEST(FabricLab, UnknownLabelIsRejectedNotSilentlyZero) {
+  FabricLab lab(contended_fat_tree());
+  try {
+    (void)lab.run("typo");
+    FAIL() << "a label no job carries must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'typo'"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW((void)lab.run({"victim", "typo"}), std::invalid_argument);
+  // Known labels still run.
+  EXPECT_GT(lab.run({"victim", "aggressor"}).tenant("victim")->bytes, 0.0);
 }
 
 TEST(FabricLab, AdaptiveRoutingRelievesTheSharedSpine) {

@@ -208,6 +208,21 @@ TEST(FabricShard, AdaptiveRoutingIsRejected) {
   EXPECT_THROW(lab.run_sharded(2), std::invalid_argument);
 }
 
+TEST(FabricShard, NegativeNodeIsRejectedNamingTheJobAndNode) {
+  Scenario s;
+  s.topology = net::Topology::dragonfly(4, 2, 2);
+  s.jobs = {ring_job("stray", {-1, 3}, 2)};
+  FabricLab lab(s);
+  try {
+    (void)lab.run_sharded(2);
+    FAIL() << "a rank on node -1 must be rejected";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'stray'"), std::string::npos) << what;
+    EXPECT_NE(what.find("node -1"), std::string::npos) << what;
+  }
+}
+
 TEST(FabricShard, SingleSwitchCollapsesToOneShard) {
   Scenario s;  // default single switch
   JobSpec a, b;

@@ -454,12 +454,11 @@ TEST(FabricGraph, MinimalPathMatchesTheClusterRoute) {
   }
 }
 
-TEST(FabricGraph, AdaptiveRoutingIsRejectedAtConstruction) {
-  Topology t = Topology::dragonfly(2, 2, 2);
-  t.routing(RoutingPolicy::kAdaptive);
-  EXPECT_THROW(FabricGraph(t, NetworkParams::ib_edr(), 8), std::invalid_argument);
+TEST(FabricGraph, HostCountIsValidatedAtConstruction) {
   EXPECT_THROW(FabricGraph(Topology::fat_tree(4), NetworkParams::ib_edr(), 9),
                std::invalid_argument);  // beyond max_hosts
+  EXPECT_THROW(FabricGraph(Topology::single_switch(), NetworkParams::ib_edr(), 0),
+               std::invalid_argument);
 }
 
 // ---- route-trace ring -------------------------------------------------------
