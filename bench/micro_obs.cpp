@@ -7,9 +7,11 @@
 // git history of this file) and the gap must stay below ~5%.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <optional>
 
 #include "mpi/pingpong.hpp"
+#include "net/cluster.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/timeline.hpp"
@@ -98,6 +100,38 @@ void BM_SamplerPingPong(benchmark::State& state) {
   reg.set_enabled(false);
 }
 BENCHMARK(BM_SamplerPingPong)->Arg(0)->Arg(1)->ArgNames({"sampler"});
+
+// Build-time cost of observability: a 512-host 2:1 fat-tree cluster (k=32)
+// built into a fresh scratch registry, disabled (obs:0) or enabled (obs:1).
+// registry_entries is deterministic and guarded at tolerance 0 against
+// bench/baselines/micro_obs_build.json: with the registry disabled only the
+// fixed per-engine and per-model metrics may appear (per-instance handles
+// bind on their first enabled write); enabled, every per-resource, per-core,
+// per-NIC name exists.  build_ms (Cluster construction, host wall clock) is
+// reported but not guarded; the iteration time adds teardown of the cluster
+// and the registry.
+void BM_FabricBuild(benchmark::State& state) {
+  const bool obs_on = state.range(0) != 0;
+  const net::ClusterSpec spec{hw::MachineConfig::henri(), net::NetworkParams::ib_edr(),
+                              net::Topology::fat_tree(32, 0.5), 512};
+  double entries = 0.0;
+  double build_s = 0.0;
+  for (auto _ : state) {
+    obs::Registry scratch;
+    scratch.set_enabled(obs_on);
+    obs::Registry::ScopedThreadLocal scope(scratch);
+    {
+      const auto t0 = std::chrono::steady_clock::now();
+      net::Cluster cluster(spec);
+      build_s += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+      benchmark::DoNotOptimize(cluster.node_count());
+    }
+    entries = static_cast<double>(scratch.size());
+  }
+  state.counters["registry_entries"] = entries;
+  state.counters["build_ms"] = build_s * 1e3 / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_FabricBuild)->Arg(0)->Arg(1)->ArgNames({"obs"})->Unit(benchmark::kMillisecond);
 
 void BM_CounterAdd(benchmark::State& state) {
   // The single-site cost: one branch + one add when enabled, one branch

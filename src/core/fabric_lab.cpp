@@ -59,16 +59,23 @@ struct RunState {
   std::vector<TenantAccum> tenants;
   std::vector<sim::Resource*> links;
   std::vector<LinkAccum> link_acc;
-  std::vector<obs::Histogram*> link_hist;
+  /// `net.<link>.utilization`, bound while `obs_reg` is enabled only.
+  obs::Registry* obs_reg = nullptr;
+  std::vector<obs::LazyMetric<obs::Histogram>> link_hist;
   std::uint64_t remaining = 0;  ///< deliveries still expected this run
 
+  obs::Histogram& link_histogram(std::size_t li) {
+    return link_hist[li].bind(*obs_reg, "net.%s.utilization", links[li]->name().c_str());
+  }
+
   void sample_links() {
+    const bool obs_on = obs_reg->enabled();
     for (std::size_t li = 0; li < links.size(); ++li) {
       const double u = links[li]->utilization();
       link_acc[li].sum += u;
       link_acc[li].peak = std::max(link_acc[li].peak, u);
       ++link_acc[li].n;
-      link_hist[li]->record(u);
+      if (obs_on) link_histogram(li).record(u);
     }
   }
 };
@@ -248,10 +255,10 @@ FabricReport FabricLab::run(const std::vector<std::string>& labels) {
   st.tenants.resize(plan.jobs.size());
   st.links = cluster_->fabric_links();
   st.link_acc.resize(st.links.size());
-  st.link_hist.reserve(st.links.size());
-  for (sim::Resource* r : st.links)
-    st.link_hist.push_back(
-        &obs::Registry::global().histogram("net." + r->name() + ".utilization"));
+  st.obs_reg = &obs::Registry::global();
+  st.link_hist.resize(st.links.size());
+  if (st.obs_reg->enabled())
+    for (std::size_t li = 0; li < st.links.size(); ++li) st.link_histogram(li);
 
   const int numa = scenario_.machine.nic_numa;
   for (const StreamSpec& s : plan.streams) {

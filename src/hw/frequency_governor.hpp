@@ -88,8 +88,13 @@ class FrequencyGovernor {
   // Frequency timelines (`hw.freq.<prefix>core<N>_hz` / `...uncore<S>_hz`):
   // the machine prefix keeps multi-node clusters collision-free.  Updated at
   // the instant a transition *lands*, so the sampler sees the ramp latency.
-  std::vector<obs::Gauge*> obs_core_hz_;
-  std::vector<obs::Gauge*> obs_uncore_hz_;
+  // Bound in the constructor only while obs_reg_ is enabled, else on the
+  // first enabled write (obs::LazyMetric).
+  obs::Gauge& core_hz_gauge(std::size_t core);
+  obs::Gauge& uncore_hz_gauge(std::size_t socket);
+  obs::Registry* obs_reg_;
+  std::vector<obs::LazyMetric<obs::Gauge>> obs_core_hz_;
+  std::vector<obs::LazyMetric<obs::Gauge>> obs_uncore_hz_;
   TraceFn trace_;
 };
 

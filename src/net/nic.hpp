@@ -15,8 +15,9 @@ class Nic {
       : machine_(machine),
         params_(params),
         dma_engine_(machine.model().add_resource(prefix + "nic-dma", params.dma_bw_max_uncore)),
-        obs_queue_depth_(
-            &obs::Registry::global().gauge("net." + prefix + "nic-dma.queue_depth")) {}
+        obs_reg_(&obs::Registry::global()) {
+    if (obs_reg_->enabled()) queue_depth_gauge();
+  }
 
   hw::Machine& machine() { return machine_; }
   const NetworkParams& params() const { return params_; }
@@ -29,9 +30,10 @@ class Nic {
 
   /// Transfer bracketing for the `net.<prefix>nic-dma.queue_depth` gauge:
   /// number of copies/DMAs concurrently in flight on this engine, sampled
-  /// into per-resource timelines by the obs::Sampler.
-  void dma_begin() { obs_queue_depth_->set(static_cast<double>(++dma_inflight_)); }
-  void dma_end() { obs_queue_depth_->set(static_cast<double>(--dma_inflight_)); }
+  /// into per-resource timelines by the obs::Sampler.  Bound at construction
+  /// only while the registry is enabled, else on the first enabled write.
+  void dma_begin() { record_queue_depth(++dma_inflight_); }
+  void dma_end() { record_queue_depth(--dma_inflight_); }
   [[nodiscard]] int dma_inflight() const { return dma_inflight_; }
 
   /// Re-derive DMA capacity from the current uncore frequency of the NIC's
@@ -60,10 +62,18 @@ class Nic {
   void clear_registration_cache() { reg_cache_.clear(); }
 
  private:
+  obs::Gauge& queue_depth_gauge() {
+    return obs_queue_depth_.bind(*obs_reg_, "net.%s.queue_depth", dma_engine_->name().c_str());
+  }
+  void record_queue_depth(int depth) {
+    if (obs_reg_->enabled()) queue_depth_gauge().set(static_cast<double>(depth));
+  }
+
   hw::Machine& machine_;
   NetworkParams params_;
   sim::Resource* dma_engine_;
-  obs::Gauge* obs_queue_depth_;
+  obs::Registry* obs_reg_;
+  obs::LazyMetric<obs::Gauge> obs_queue_depth_;
   int dma_inflight_ = 0;
   double degradation_ = 1.0;
   std::unordered_set<std::uint64_t> reg_cache_;

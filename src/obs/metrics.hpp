@@ -13,7 +13,10 @@
 //    identical simulations produce byte-identical snapshots;
 //  * stable handles — metric objects live as long as their registry and are
 //    never invalidated by reset(), so instrumented objects may cache raw
-//    pointers at construction time.
+//    pointers at construction time;
+//  * no build-time cost when disabled — per-instance metrics (one per
+//    resource, core, NIC or link) bind through LazyMetric, which inserts
+//    nothing into a registry until its first enabled write.
 //
 // The simulator is single-threaded by construction (one discrete-event loop),
 // so the registry performs no locking.
@@ -21,11 +24,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -245,6 +250,12 @@ class Registry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
+  /// Number of metrics of every kind (snapshot().entries.size() without
+  /// building the snapshot).
+  [[nodiscard]] std::size_t size() const {
+    return counters_.size() + gauges_.size() + histograms_.size();
+  }
+
   /// Zero every metric and drop all trace events.  Handles stay valid, the
   /// enabled flag is unchanged.
   void reset();
@@ -275,6 +286,50 @@ class Registry {
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::unique_ptr<Tracer> tracer_;
+};
+
+/// Per-instance metric handle that binds on its first enabled write.
+///
+/// Objects owning metrics named after themselves (one per resource, core,
+/// NIC or fabric link) would otherwise insert thousands of names into a
+/// disabled registry every time a cluster is built.  The idiom, with `reg`
+/// the registry that was Registry::global() when the owner was built (the
+/// owner keeps it, so shard and campaign threads keep their affinity):
+///
+///   * constructor: `if (reg.enabled()) h.bind(reg, fmt, ...);` — binding
+///     eagerly while enabled keeps every per-instance name in snapshots,
+///     written or not;
+///   * write site: `if (reg.enabled()) h.bind(reg, fmt, ...).set(v);` — the
+///     disabled path is that one branch, and the first enabled write
+///     resolves the name.
+///
+/// An owner built while `reg` was disabled therefore leaves its
+/// never-written metrics out of later snapshots.
+template <class M>
+class LazyMetric {
+ public:
+  /// The metric, resolved on first call by find-or-create of the
+  /// printf-formatted name (assembled in a stack buffer, so re-binding an
+  /// existing name never touches the heap).
+  template <class... Args>
+  M& bind(Registry& reg, const char* fmt, Args... args) {
+    if (metric_ == nullptr) {
+      char buf[256];
+      std::snprintf(buf, sizeof buf, fmt, args...);
+      if constexpr (std::is_same_v<M, Counter>) {
+        metric_ = &reg.counter(buf);
+      } else if constexpr (std::is_same_v<M, Gauge>) {
+        metric_ = &reg.gauge(buf);
+      } else {
+        static_assert(std::is_same_v<M, Histogram>);
+        metric_ = &reg.histogram(buf);
+      }
+    }
+    return *metric_;
+  }
+
+ private:
+  M* metric_ = nullptr;
 };
 
 }  // namespace cci::obs

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 
@@ -74,18 +73,24 @@ Resource* FlowModel::add_resource(std::string name, double capacity) {
   const std::size_t solver_index = solver_.add_resource(capacity);
   assert(solver_index == r->index_);
   (void)solver_index;
-  // Metric names assembled in a stack buffer; the registry's heterogeneous
-  // string_view lookup means no temporary std::string on re-registration.
-  char buf[192];
-  std::snprintf(buf, sizeof buf, "sim.resource.%s.work_units", r->name().c_str());
-  r->obs_work_ = &obs_reg_->counter(buf);
-  std::snprintf(buf, sizeof buf, "sim.resource.%s.utilization", r->name().c_str());
-  r->obs_util_ = &obs_reg_->gauge(buf);
-  std::snprintf(buf, sizeof buf, "sim.resource.%s.pressure", r->name().c_str());
-  r->obs_pressure_ = &obs_reg_->gauge(buf);
-  r->obs_load_series_ = "sim.resource." + r->name() + ".load";
-  r->obs_track_series_ = "sim.res." + r->name();
+  if (obs_reg_->enabled()) {
+    work_counter(*r);
+    util_gauge(*r);
+    pressure_gauge(*r);
+  }
   return r;
+}
+
+obs::Counter& FlowModel::work_counter(Resource& r) {
+  return r.obs_work_.bind(*obs_reg_, "sim.resource.%s.work_units", r.name_.c_str());
+}
+
+obs::Gauge& FlowModel::util_gauge(Resource& r) {
+  return r.obs_util_.bind(*obs_reg_, "sim.resource.%s.utilization", r.name_.c_str());
+}
+
+obs::Gauge& FlowModel::pressure_gauge(Resource& r) {
+  return r.obs_pressure_.bind(*obs_reg_, "sim.resource.%s.pressure", r.name_.c_str());
 }
 
 ActivityPtr FlowModel::start(ActivitySpec spec) {
@@ -142,10 +147,13 @@ void FlowModel::trace_activity(const Activity& act, const char* suffix) {
   if (!tracer.on()) return;
   const auto& spec = act.spec();
   static const std::string kUnbound = "sim.res.unbound";
-  const std::string& series = spec.demands.empty()
-                                  ? kUnbound
-                                  : spec.demands.front().resource->obs_track_series_;
-  obs::TrackId track = tracer.track(series);
+  const std::string* series = &kUnbound;
+  if (!spec.demands.empty()) {
+    Resource& r = *spec.demands.front().resource;
+    if (r.obs_track_series_.empty()) r.obs_track_series_ = "sim.res." + r.name_;
+    series = &r.obs_track_series_;
+  }
+  obs::TrackId track = tracer.track(*series);
   const std::string& name = engine_.label_str(spec.label);
   std::string label = name.empty() ? "activity" : name;
   tracer.span(track, label + suffix, act.started_at(), engine_.now());
@@ -174,7 +182,7 @@ void FlowModel::advance() {
     // Work-unit integral per resource: loads were constant since the last
     // change point, so load * dt is exact (bytes moved per controller).
     for (auto& r : resources_)
-      if (r->load_ > 0.0) r->obs_work_->add(r->load_ * dt);
+      if (r->load_ > 0.0) work_counter(*r).add(r->load_ * dt);
   }
   if (dt > 0.0 && profiler_ != nullptr) profile_advance(dt);
   last_advance_ = now;
@@ -363,10 +371,12 @@ void FlowModel::reallocate() {
       // Utilization/pressure gauges feed the time-resolved sampler; gated
       // here (not just inside set()) so the disabled hot path skips the
       // division too.
-      r->obs_util_->set(r->utilization());
-      r->obs_pressure_->set(r->pressure_);
+      util_gauge(*r).set(r->utilization());
+      pressure_gauge(*r).set(r->pressure_);
     }
     if (tracing && r->load_ != r->obs_last_sampled_load_) {
+      if (r->obs_load_series_.empty())
+        r->obs_load_series_ = "sim.resource." + r->name_ + ".load";
       tracer.counter_sample(r->obs_load_series_, now, r->load_);
       r->obs_last_sampled_load_ = r->load_;
     }

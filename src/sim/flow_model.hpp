@@ -124,6 +124,12 @@ class FlowModel {
   /// their first demanded resource.
   void trace_activity(const Activity& act, const char* suffix);
 
+  /// Per-resource metrics in obs_reg_, bound on first use (call only while
+  /// obs_reg_ is enabled; see Resource).
+  obs::Counter& work_counter(Resource& r);
+  obs::Gauge& util_gauge(Resource& r);
+  obs::Gauge& pressure_gauge(Resource& r);
+
   Engine& engine_;
   MaxMinSolver solver_;
   SlabPool<Activity> activity_pool_;  ///< stats: sim.pool.activity.*

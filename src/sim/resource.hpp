@@ -47,14 +47,16 @@ class Resource {
   double load_ = 0.0;
   double pressure_ = 0.0;
   // Observability: work-unit integral (bytes for links/controllers, cycles
-  // for cores) plus the cached names of the load counter-sample series and
-  // the span track activities are traced on (built once at add_resource, so
-  // tracing never concatenates on the hot path).
-  obs::Counter* obs_work_ = nullptr;
-  obs::Gauge* obs_util_ = nullptr;      ///< sim.resource.<name>.utilization
-  obs::Gauge* obs_pressure_ = nullptr;  ///< sim.resource.<name>.pressure
-  std::string obs_load_series_;
-  std::string obs_track_series_;
+  // for cores) and the two gauges, bound eagerly at add_resource only when
+  // the model's registry is enabled, else on their first enabled write
+  // (obs::LazyMetric).  The names of the load counter-sample series and of
+  // the span track activities are traced on are built the first time the
+  // tracer needs them, so tracing never concatenates on the hot path.
+  obs::LazyMetric<obs::Counter> obs_work_;  ///< sim.resource.<name>.work_units
+  obs::LazyMetric<obs::Gauge> obs_util_;    ///< sim.resource.<name>.utilization
+  obs::LazyMetric<obs::Gauge> obs_pressure_;  ///< sim.resource.<name>.pressure
+  std::string obs_load_series_;   ///< sim.resource.<name>.load, once traced
+  std::string obs_track_series_;  ///< sim.res.<name>, once traced
   double obs_last_sampled_load_ = -1.0;
 };
 

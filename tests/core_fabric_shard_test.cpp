@@ -1,7 +1,8 @@
 // FabricLab::run_sharded — the cross-shard fabric simulation: thousand-node
 // dragonfly carves, boundary-proxy exchange, bitwise run-to-run determinism
 // (tables and timelines), serial-engine equivalence at shards == 1 and the
-// degenerate shapes (single switch, adaptive routing).
+// degenerate shapes (single switch, adaptive routing), and the oracle that
+// the obs registry's state never feeds back into either runner.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -74,6 +75,68 @@ std::string report_text(const FabricReport& r) {
                 static_cast<unsigned long long>(r.events));
   os << buf;
   return os.str();
+}
+
+/// When the obs registry is switched on, relative to building the fabric.
+enum class ObsSwitch { kNever, kBeforeBuild, kAfterBuild };
+
+/// `run(lab)` under a private registry installed as this thread's
+/// Registry::global() (run_sharded's shard registries inherit its enabled
+/// flag and merge back into it).  kAfterBuild constructs the lab and makes
+/// one full run — fabric, world and flow model built — while the registry
+/// is off, then enables it for the reported run.  `entries` receives the
+/// registry's final size.
+template <class Run>
+FabricReport run_observed(const Scenario& s, ObsSwitch when, Run run, std::size_t* entries) {
+  obs::Registry reg;
+  obs::Registry::ScopedThreadLocal scope(reg);
+  reg.set_enabled(when == ObsSwitch::kBeforeBuild);
+  FabricLab lab(s);
+  if (when == ObsSwitch::kAfterBuild) {
+    run(lab);
+    reg.set_enabled(true);
+  }
+  FabricReport report = run(lab);
+  *entries = reg.size();
+  return report;
+}
+
+TEST(FabricLab, RegistryStateNeverFeedsBackIntoAdaptiveRouting) {
+  // Adaptive routing reads live link utilization and draws RNG tie-breaks:
+  // the most observation-sensitive path the serial runner has.
+  Scenario s;
+  s.topology = net::Topology::fat_tree(16, 0.5);
+  s.topology.routing(net::RoutingPolicy::kAdaptive);
+  std::vector<int> even, odd;
+  for (int n = 0; n < 64; n += 2) even.push_back(n);
+  for (int n = 1; n < 64; n += 2) odd.push_back(n);
+  s.jobs = {ring_job("even", std::move(even), 4), ring_job("odd", std::move(odd), 4)};
+  auto run = [](FabricLab& lab) { return lab.run(); };
+  std::size_t off = 0, before = 0, after = 0;
+  const FabricReport r_off = run_observed(s, ObsSwitch::kNever, run, &off);
+  const FabricReport r_before = run_observed(s, ObsSwitch::kBeforeBuild, run, &before);
+  const FabricReport r_after = run_observed(s, ObsSwitch::kAfterBuild, run, &after);
+  EXPECT_GT(r_off.reroutes, 0u);
+  EXPECT_EQ(report_text(r_before), report_text(r_off));
+  EXPECT_EQ(report_text(r_after), report_text(r_off));
+  // The registry really observed: enabled runs bind per-link histograms
+  // and per-resource metrics, the disabled one only the fixed set.
+  EXPECT_GT(before, off + r_off.links.size());
+  EXPECT_GT(after, off + r_off.links.size());
+}
+
+TEST(FabricShard, RegistryStateNeverFeedsBackIntoShardedRuns) {
+  const Scenario s = interleaved_rings(4, 2, 2, /*iterations=*/3);
+  auto run = [](FabricLab& lab) { return lab.run_sharded(2); };
+  std::size_t off = 0, before = 0, after = 0;
+  const FabricReport r_off = run_observed(s, ObsSwitch::kNever, run, &off);
+  const FabricReport r_before = run_observed(s, ObsSwitch::kBeforeBuild, run, &before);
+  const FabricReport r_after = run_observed(s, ObsSwitch::kAfterBuild, run, &after);
+  EXPECT_EQ(r_off.populated_shards, 2);
+  EXPECT_EQ(report_text(r_before), report_text(r_off));
+  EXPECT_EQ(report_text(r_after), report_text(r_off));
+  EXPECT_GT(before, off);
+  EXPECT_GT(after, off);
 }
 
 TEST(FabricShard, ThousandNodeDragonflyCarvesAcrossFourShards) {

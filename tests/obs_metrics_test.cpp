@@ -1,13 +1,21 @@
-// obs metrics: histogram bucketing, snapshot determinism, disabled no-ops.
+// obs metrics: histogram bucketing, snapshot determinism, disabled no-ops,
+// and the lazy-binding contract of per-instance metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
+#include "hw/frequency_governor.hpp"
+#include "mpi/pingpong.hpp"
+#include "net/cluster.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
+#include "sim/engine.hpp"
+#include "sim/flow_model.hpp"
 
 namespace cci::obs {
 namespace {
@@ -195,6 +203,141 @@ TEST(Registry, DisabledRecordsNothing) {
   EXPECT_DOUBLE_EQ(g.value(), 0.0);
   EXPECT_DOUBLE_EQ(g.max(), 0.0);
   EXPECT_EQ(h.count(), 0u);
+}
+
+// --- Lazy binding of per-instance metrics ------------------------------------
+
+/// Names in `reg` that belong to a resource, a core/uncore governor or a NIC.
+std::vector<std::string> per_instance_names(const Registry& reg) {
+  std::vector<std::string> out;
+  for (const Snapshot::Entry& e : reg.snapshot().entries) {
+    const std::string_view n = e.name;
+    if (n.starts_with("sim.resource.") || n.starts_with("hw.freq.") ||
+        n.ends_with("nic-dma.queue_depth"))
+      out.push_back(e.name);
+  }
+  return out;
+}
+
+bool has(const Snapshot& s, const std::string& name) { return s.find(name) != nullptr; }
+
+TEST(RegistryLazyMetric, BindsOnceIntoTheGivenRegistry) {
+  Registry a, b;
+  LazyMetric<Gauge> g;
+  Gauge& first = g.bind(a, "x.%s.%d", "node0", 3);
+  EXPECT_EQ(&first, &a.gauge("x.node0.3"));
+  // Bound: later calls never look the name up again, in any registry.
+  EXPECT_EQ(&g.bind(b, "other.%d", 1), &first);
+  EXPECT_EQ(b.size(), 0u);
+  LazyMetric<Counter> c;
+  LazyMetric<Histogram> h;
+  EXPECT_EQ(&c.bind(a, "c.%d", 1), &a.counter("c.1"));
+  EXPECT_EQ(&h.bind(a, "h.%d", 1), &a.histogram("h.1"));
+  EXPECT_EQ(a.size(), 3u);
+}
+
+TEST(RegistryLazyBinding, DisabledFatTreeBuildAddsNoPerInstanceNames) {
+  Registry reg;  // disabled
+  Registry::ScopedThreadLocal scope(reg);
+  net::Cluster cluster(net::ClusterSpec{hw::MachineConfig::henri(),
+                                        net::NetworkParams::ib_edr(),
+                                        net::Topology::fat_tree(32, 0.5), 512});
+  EXPECT_EQ(cluster.node_count(), 512);
+  EXPECT_EQ(per_instance_names(reg), std::vector<std::string>{});
+  // What remains is the fixed per-engine / per-model set, independent of
+  // the cluster's size.
+  EXPECT_LT(reg.size(), 64u);
+}
+
+TEST(RegistryLazyBinding, EnablingAfterConstructionStillRecords) {
+  // The enable-after-construction pattern (mpi_reliability_test's Rig):
+  // cluster and world are built against a disabled registry.
+  Registry reg;
+  Registry::ScopedThreadLocal scope(reg);
+  net::Cluster cluster(hw::MachineConfig::henri(), net::NetworkParams::ib_edr());
+  mpi::World world(cluster, {{0, -1}, {1, -1}});
+  EXPECT_EQ(per_instance_names(reg), std::vector<std::string>{});
+
+  reg.set_enabled(true);
+  mpi::PingPongOptions opt;
+  opt.bytes = std::size_t{1} << 20;  // rendezvous: DMA and wire traffic
+  opt.iterations = 4;
+  mpi::PingPong pp(world, 0, 1, opt);
+  pp.start();
+  // A governor transition after enabling lands while the run drains.
+  cluster.machine(0).governor().core_busy(0, hw::VectorClass::kAvx512);
+  cluster.engine().run();
+
+  const Snapshot s = reg.snapshot();
+  const Snapshot::Entry* util = s.find("sim.resource.node0.tx.utilization");
+  ASSERT_NE(util, nullptr);
+  EXPECT_GT(util->max, 0.0);
+  const Snapshot::Entry* work = s.find("sim.resource.node0.tx.work_units");
+  ASSERT_NE(work, nullptr);
+  EXPECT_GT(work->value, 0.0);
+  const Snapshot::Entry* depth = s.find("net.node0.nic-dma.queue_depth");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_GE(depth->max, 1.0);
+  const Snapshot::Entry* hz = s.find("hw.freq.node0.core0_hz");
+  ASSERT_NE(hz, nullptr);
+  EXPECT_EQ(hz->value, cluster.machine(0).governor().core_freq(0));
+  EXPECT_GT(hz->value, 0.0);
+  // Never written after enabling: left out, not reported as a fake zero.
+  EXPECT_FALSE(has(s, "hw.freq.node1.core0_hz"));
+}
+
+TEST(RegistryLazyBinding, EnabledBeforeBuildKeepsEveryPerInstanceName) {
+  // Today's snapshot contract: with the registry on while building, every
+  // per-instance metric exists, written or not.
+  Registry reg;
+  reg.set_enabled(true);
+  Registry::ScopedThreadLocal scope(reg);
+  net::Cluster cluster(net::ClusterSpec{hw::MachineConfig::henri(),
+                                        net::NetworkParams::ib_edr(),
+                                        net::Topology::fat_tree(4, 0.5), 8});
+  const Snapshot s = reg.snapshot();
+  std::vector<const sim::Resource*> resources;
+  for (int n = 0; n < cluster.node_count(); ++n) {
+    hw::Machine& m = cluster.machine(n);
+    resources.push_back(cluster.tx_port(n));
+    resources.push_back(cluster.rx_port(n));
+    resources.push_back(cluster.nic(n).dma_engine());
+    for (int numa = 0; numa < m.config().numa_count(); ++numa)
+      resources.push_back(m.mem_ctrl(numa));
+    const std::string prefix = "node" + std::to_string(n) + ".";
+    for (int c = 0; c < m.config().total_cores(); ++c) {
+      resources.push_back(m.core(c));
+      EXPECT_TRUE(has(s, "hw.freq." + prefix + "core" + std::to_string(c) + "_hz")) << c;
+    }
+    for (int sock = 0; sock < m.config().sockets; ++sock)
+      EXPECT_TRUE(has(s, "hw.freq." + prefix + "uncore" + std::to_string(sock) + "_hz"));
+    EXPECT_TRUE(has(s, "net." + prefix + "nic-dma.queue_depth"));
+  }
+  for (const sim::Resource* r : cluster.fabric_resources()) resources.push_back(r);
+  for (const sim::Resource* r : resources)
+    for (const char* metric : {".work_units", ".utilization", ".pressure"})
+      EXPECT_TRUE(has(s, "sim.resource." + r->name() + metric)) << r->name() << metric;
+}
+
+TEST(RegistryLazyBinding, TracerOnWithRegistryOffStillNamesSeries) {
+  Registry reg;  // metrics off
+  reg.tracer().set_enabled(true);
+  Registry::ScopedThreadLocal scope(reg);
+  sim::Engine engine;
+  sim::FlowModel model(engine);
+  sim::Resource* r = model.add_resource("bus", 10.0);
+  sim::ActivitySpec spec;
+  spec.work = 20.0;
+  spec.demands.push_back({r, 1.0});
+  model.start(std::move(spec));
+  engine.run();
+  const auto& samples = reg.tracer().counter_samples();
+  EXPECT_TRUE(std::any_of(samples.begin(), samples.end(), [](const auto& c) {
+    return c.name == "sim.resource.bus.load";
+  }));
+  const auto& tracks = reg.tracer().track_names();
+  EXPECT_NE(std::find(tracks.begin(), tracks.end(), "sim.res.bus"), tracks.end());
+  EXPECT_EQ(per_instance_names(reg), std::vector<std::string>{});
 }
 
 TEST(Tracer, DisabledRecordsNothing) {
