@@ -2,6 +2,7 @@
 // scheduler overhead of the simulated runtime.
 #include <benchmark/benchmark.h>
 
+#include "obs/metrics.hpp"
 #include "runtime/apps.hpp"
 #include "runtime/runtime.hpp"
 
@@ -35,15 +36,33 @@ BENCHMARK(BM_RuntimeTaskThroughput)->Args({100, 8})->Args({1000, 32});
 
 void BM_DistributedCgSimulation(benchmark::State& state) {
   // Cost of one full distributed-CG simulation (the Fig. 10 inner loop).
+  runtime::CgAppOptions opt;
+  opt.n = 8192;
+  opt.iterations = 2;
+  opt.workers = static_cast<int>(state.range(0));
+  auto run = [&opt] {
+    return runtime::run_cg_app(hw::MachineConfig::henri(), net::NetworkParams::ib_edr(),
+                               runtime::RuntimeConfig::for_machine("henri"), opt);
+  };
   for (auto _ : state) {
-    runtime::CgAppOptions opt;
-    opt.n = 8192;
-    opt.iterations = 2;
-    opt.workers = static_cast<int>(state.range(0));
-    auto r = runtime::run_cg_app(hw::MachineConfig::henri(), net::NetworkParams::ib_edr(),
-                                 runtime::RuntimeConfig::for_machine("henri"), opt);
+    auto r = run();
     benchmark::DoNotOptimize(r.makespan);
   }
+  // components_per_event: max-min components re-solved per dispatched
+  // event, from one extra (untimed) run into a scoped, enabled registry.
+  // Deterministic, guarded against bench/baselines/micro_runtime_solves.json:
+  // every worker task start/finish moves core frequencies through the
+  // governor, so DVFS churn on cores no flow uses shows up here.
+  obs::Registry scratch;
+  scratch.set_enabled(true);
+  {
+    obs::Registry::ScopedThreadLocal scope(scratch);
+    benchmark::DoNotOptimize(run().makespan);
+  }
+  const obs::Snapshot snap = scratch.snapshot();
+  state.counters["components_per_event"] =
+      snap.value_of("sim.flow.components_solved") /
+      snap.value_of("sim.engine.events_dispatched");
 }
 BENCHMARK(BM_DistributedCgSimulation)->Arg(8)->Arg(34);
 

@@ -10,6 +10,7 @@ namespace cci::hw {
 FrequencyGovernor::FrequencyGovernor(Machine& machine)
     : machine_(machine),
       state_(static_cast<std::size_t>(machine.config().total_cores()), CoreState::kIdle),
+      active_(static_cast<std::size_t>(machine.config().sockets), 0),
       vclass_(static_cast<std::size_t>(machine.config().total_cores()), VectorClass::kScalar),
       freq_(static_cast<std::size_t>(machine.config().total_cores()), 0.0),
       uncore_freq_(static_cast<std::size_t>(machine.config().sockets), 0.0),
@@ -56,28 +57,21 @@ void FrequencyGovernor::pin_uncore_freq(double hz) {
 }
 
 void FrequencyGovernor::core_busy(int core, VectorClass vc) {
-  state_.at(static_cast<std::size_t>(core)) = CoreState::kBusy;
   vclass_.at(static_cast<std::size_t>(core)) = vc;
-  recompute_socket(machine_.config().socket_of_core(core));
+  set_state(core, CoreState::kBusy);
 }
 
-void FrequencyGovernor::core_idle(int core) {
-  state_.at(static_cast<std::size_t>(core)) = CoreState::kIdle;
-  recompute_socket(machine_.config().socket_of_core(core));
-}
+void FrequencyGovernor::core_idle(int core) { set_state(core, CoreState::kIdle); }
 
-void FrequencyGovernor::core_comm(int core) {
-  state_.at(static_cast<std::size_t>(core)) = CoreState::kComm;
-  recompute_socket(machine_.config().socket_of_core(core));
-}
+void FrequencyGovernor::core_comm(int core) { set_state(core, CoreState::kComm); }
 
-int FrequencyGovernor::active_cores(int socket) const {
-  const auto& cfg = machine_.config();
-  int count = 0;
-  for (int c = 0; c < cfg.total_cores(); ++c)
-    if (cfg.socket_of_core(c) == socket && state_[static_cast<std::size_t>(c)] != CoreState::kIdle)
-      ++count;
-  return count;
+void FrequencyGovernor::set_state(int core, CoreState next) {
+  CoreState& cur = state_.at(static_cast<std::size_t>(core));
+  const int socket = machine_.config().socket_of_core(core);
+  active_[static_cast<std::size_t>(socket)] +=
+      static_cast<int>(next != CoreState::kIdle) - static_cast<int>(cur != CoreState::kIdle);
+  cur = next;
+  recompute_socket(socket);
 }
 
 void FrequencyGovernor::recompute_all() {
@@ -88,8 +82,9 @@ void FrequencyGovernor::recompute_socket(int socket) {
   const auto& cfg = machine_.config();
   const int active = active_cores(socket);
 
-  for (int c = 0; c < cfg.total_cores(); ++c) {
-    if (cfg.socket_of_core(c) != socket) continue;
+  const int first = cfg.first_core_of_socket(socket);
+  const int last = first + cfg.cores_per_socket();
+  for (int c = first; c < last; ++c) {
     const auto idx = static_cast<std::size_t>(c);
     double hz;
     if (policy_ == CpuPolicy::kUserspace) {

@@ -61,7 +61,10 @@ class FrequencyGovernor {
   [[nodiscard]] double uncore_freq(int socket) const {
     return uncore_freq_.at(static_cast<std::size_t>(socket));
   }
-  [[nodiscard]] int active_cores(int socket) const;
+  /// Non-idle (busy or comm) cores on `socket`.
+  [[nodiscard]] int active_cores(int socket) const {
+    return active_.at(static_cast<std::size_t>(socket));
+  }
 
   /// Called as (core, new_freq_hz) at every core transition; (-1 - socket,
   /// hz) encodes uncore changes.  Timestamping is up to the sink.
@@ -70,6 +73,8 @@ class FrequencyGovernor {
 
  private:
   enum class CoreState { kIdle, kBusy, kComm };
+  /// Move `core` to `next`, keeping active_ in step, and recompute its socket.
+  void set_state(int core, CoreState next);
   void recompute_socket(int socket);
   void recompute_all();
   void apply_core_freq(int core, double hz);
@@ -81,6 +86,7 @@ class FrequencyGovernor {
   double pinned_core_hz_ = 0.0;
   double pinned_uncore_hz_ = 0.0;
   std::vector<CoreState> state_;
+  std::vector<int> active_;  ///< per-socket count of non-idle cores
   std::vector<VectorClass> vclass_;
   std::vector<double> freq_;
   std::vector<double> uncore_freq_;

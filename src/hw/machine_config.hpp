@@ -103,6 +103,10 @@ struct MachineConfig {
   [[nodiscard]] int socket_of_numa(int numa) const { return numa / numa_per_socket; }
   [[nodiscard]] int numa_of_core(int core) const { return core / cores_per_numa; }
   [[nodiscard]] int socket_of_core(int core) const { return socket_of_numa(numa_of_core(core)); }
+  /// Cores are numbered socket by socket: socket s owns the contiguous
+  /// range [first_core_of_socket(s), first_core_of_socket(s + 1)).
+  [[nodiscard]] int cores_per_socket() const { return numa_per_socket * cores_per_numa; }
+  [[nodiscard]] int first_core_of_socket(int socket) const { return socket * cores_per_socket(); }
   [[nodiscard]] double flops_per_cycle(VectorClass vc) const;
   /// Turbo frequency for `active` busy cores on a socket under `vc`.
   [[nodiscard]] double turbo_freq(VectorClass vc, int active) const;

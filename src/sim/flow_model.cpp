@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
 
 namespace cci::sim {
 
@@ -14,6 +15,44 @@ namespace {
 /// total work is below this threshold complete at start without ever
 /// entering the solver.
 double completion_eps(double work) { return std::max(1.0, work) * 1e-9; }
+
+/// Capacities must be non-negative numbers (+inf allowed): the release
+/// build has no asserts, and a NaN would spread through every rate of the
+/// resource's component.
+void check_capacity(const std::string& resource, double capacity) {
+  if (!(capacity >= 0.0))
+    throw std::invalid_argument("resource '" + resource + "': capacity " +
+                                std::to_string(capacity) + " is NaN or negative");
+}
+
+/// Malformed specs throw before anything is registered: a zero weight
+/// would finish the activity at once at infinite rate, a NaN would spread
+/// through its component's rates.
+void check_spec(const Engine& engine, const ActivitySpec& spec) {
+  const char* bad = nullptr;
+  if (!(spec.work >= 0.0))
+    bad = "work is NaN or negative";
+  else if (!(spec.weight > 0.0) || !std::isfinite(spec.weight))
+    bad = "weight is not a finite positive number";
+  else if (std::isnan(spec.rate_cap))
+    bad = "rate_cap is NaN";
+  else
+    for (const auto& d : spec.demands) {
+      if (d.resource == nullptr) {
+        bad = "a demand has a null resource";
+        break;
+      }
+      if (!(d.amount >= 0.0)) {
+        bad = "a demand amount is NaN or negative";
+        break;
+      }
+    }
+  if (bad != nullptr) {
+    const std::string& label = engine.label_str(spec.label);
+    throw std::invalid_argument("activity '" + (label.empty() ? "<unlabelled>" : label) +
+                                "': " + bad);
+  }
+}
 }  // namespace
 
 FlowModel::FlowModel(Engine& engine) : engine_(engine), activity_pool_("activity") {
@@ -55,7 +94,7 @@ FlowModel::~FlowModel() {
 }
 
 void Resource::set_capacity(double capacity) {
-  assert(capacity >= 0.0);
+  check_capacity(name_, capacity);
   if (capacity == capacity_) return;
   // Close the work/attribution integrals under the *outgoing* capacity
   // first: rates and loads stay those of the old allocation until the
@@ -67,6 +106,7 @@ void Resource::set_capacity(double capacity) {
 }
 
 Resource* FlowModel::add_resource(std::string name, double capacity) {
+  check_capacity(name, capacity);
   resources_.push_back(std::unique_ptr<Resource>(
       new Resource(this, resources_.size(), std::move(name), capacity)));
   Resource* r = resources_.back().get();
@@ -94,6 +134,7 @@ obs::Gauge& FlowModel::pressure_gauge(Resource& r) {
 }
 
 ActivityPtr FlowModel::start(ActivitySpec spec) {
+  check_spec(engine_, spec);
   ActivityPtr act = activity_pool_.make(engine_, std::move(spec));
   Activity* a = act.get();
   a->seq_ = next_activity_seq_++;

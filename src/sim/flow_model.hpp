@@ -37,11 +37,15 @@ class FlowModel {
   Engine& engine() { return engine_; }
 
   /// Create a resource owned by this model.  Pointers remain valid for the
-  /// model's lifetime.
+  /// model's lifetime.  Throws std::invalid_argument, naming the resource,
+  /// when `capacity` is NaN or negative (as does Resource::set_capacity).
   Resource* add_resource(std::string name, double capacity);
 
   /// Start an activity; it completes after spec.work units of progress.
-  /// The returned pointer stays valid at least until completion.
+  /// The returned pointer stays valid at least until completion.  Throws
+  /// std::invalid_argument, naming the activity's label, when work is NaN
+  /// or negative, weight is not finite and positive, rate_cap is NaN, or a
+  /// demand has a null resource or a NaN/negative amount.
   ActivityPtr start(ActivitySpec spec);
 
   /// Abort a running activity; its completion event is NOT set.  O(1).

@@ -29,12 +29,18 @@ std::size_t MaxMinSolver::add_resource(double capacity) {
   comp_unsorted_.push_back(0);
   comp_res_.push_back({r});
   dirty_.push_back(0);
+  res_refs_.push_back(0);
   return r;
 }
 
 void MaxMinSolver::set_capacity(std::size_t resource, double capacity) {
   assert(capacity >= 0.0);
   capacity_[resource] = capacity;
+  // Inert change: no live flow lists the resource, so no solve reads its
+  // capacity (its load and pressure are 0 whatever the capacity is) and no
+  // cached pressure contribution depends on it.  A flow registered later
+  // reads the stored value.
+  if (res_refs_[resource] == 0) return;
   const std::size_t root = find_root(resource);
   // Cached pressure contributions reference this capacity; every flow that
   // can touch the resource lives in its component (a superset after
@@ -124,6 +130,7 @@ MaxMinSolver::FlowId MaxMinSolver::add_flow(double weight, double rate_cap,
     entryless_changed_.push_back(id);
     return id;
   }
+  for (const auto& e : entries) ++res_refs_[e.resource];
   std::size_t root = find_root(entries.front().resource);
   for (std::size_t i = 1; i < entries.size(); ++i)
     root = unite(root, find_root(entries[i].resource));
@@ -140,6 +147,7 @@ void MaxMinSolver::remove_flow(FlowId id) {
   rec.live = false;
   rec.rate = 0.0;
   if (!rec.entries.empty()) {
+    for (const auto& e : rec.entries) --res_refs_[e.resource];
     const std::size_t root = find_root(rec.entries.front().resource);
     auto& list = comp_flows_[root];
     const std::size_t pos = rec.comp_pos;
@@ -211,15 +219,18 @@ void MaxMinSolver::solve() {
     rebuild_partition();
 
   std::size_t solved_flows = 0;
+  std::size_t solved_components = 0;
   for (std::size_t i = 0; i < dirty_roots_.size(); ++i) {
     const std::size_t root = dirty_roots_[i];
     if (parent_[root] != root || !dirty_[root]) continue;  // merged or stale
     dirty_[root] = 0;
     solved_flows += comp_flows_[root].size();
-    ++stats_.components_solved;
+    ++solved_components;
     solve_component(root);
   }
   dirty_roots_.clear();
+  stats_.components_solved += solved_components;
+  if (solved_components == 0) return;  // nothing dirty: neither full nor partial
   if (solved_flows >= live_flows_)
     ++stats_.full_solves;
   else

@@ -18,10 +18,12 @@
 //    Flows are registered once and updated in place; resources linked by
 //    shared flows are grouped into connected components via a union-find,
 //    and a change (flow added/removed, capacity changed) dirty-marks only
-//    the touched component.  solve() then re-runs progressive filling on
-//    the dirty components only — rates, loads and pressures of untouched
-//    components carry over verbatim (bitwise), which is what makes partial
-//    re-solves indistinguishable from full ones.
+//    the touched component.  A capacity change on a resource that no live
+//    flow lists is inert: the value is stored and nothing is dirtied.
+//    solve() then re-runs progressive filling on the dirty components only
+//    — rates, loads and pressures of untouched components carry over
+//    verbatim (bitwise), which is what makes partial re-solves
+//    indistinguishable from full ones.
 #pragma once
 
 #include <cstddef>
@@ -69,6 +71,8 @@ class MaxMinSolver {
 
   /// Register a resource; returns its index.  Indices are dense and stable.
   std::size_t add_resource(double capacity);
+  /// Store a new capacity.  Inert (dirties nothing) while no live flow
+  /// lists the resource: no solve reads it until a flow does.
   void set_capacity(std::size_t resource, double capacity);
 
   /// Register a flow.  Slots are recycled, so FlowIds of removed flows may
@@ -113,11 +117,13 @@ class MaxMinSolver {
   /// state (bitwise determinism of subsequent solves is preserved).
   [[nodiscard]] std::size_t component_root(std::size_t resource) const;
 
-  /// Cumulative work/quality counters, for perf guards and benches.
+  /// Cumulative work/quality counters, for perf guards and benches.  A
+  /// solve() that finds no dirty component (e.g. after an inert capacity
+  /// change) counts in `solves` only — it is neither full nor partial.
   struct Stats {
     std::uint64_t solves = 0;            ///< solve() calls
-    std::uint64_t full_solves = 0;       ///< solves that visited every live flow
-    std::uint64_t partial_solves = 0;    ///< solves that skipped >= 1 clean component
+    std::uint64_t full_solves = 0;       ///< solves of >= 1 component that visited every live flow
+    std::uint64_t partial_solves = 0;    ///< solves of >= 1 component that skipped a clean one
     std::uint64_t components_solved = 0; ///< dirty components re-solved
     std::uint64_t flow_visits = 0;       ///< flow scans inside filling rounds
     std::uint64_t partition_rebuilds = 0;///< union-find rebuilds after removals
@@ -171,6 +177,9 @@ class MaxMinSolver {
   std::vector<std::vector<std::size_t>> comp_res_;  ///< valid at roots
   std::vector<char> dirty_;                         ///< valid at roots
   std::vector<std::size_t> dirty_roots_;
+  /// Per-resource count of live flow entries listing it (a flow listing a
+  /// resource twice counts twice).  Zero means set_capacity() is inert.
+  std::vector<std::uint32_t> res_refs_;
 
   // Flows.
   std::vector<FlowRec> flows_;

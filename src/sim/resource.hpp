@@ -29,6 +29,8 @@ class Resource {
   /// contenders, which is what queueing delay responds to.
   [[nodiscard]] double pressure() const { return pressure_; }
   /// Change capacity (e.g. a frequency transition); triggers reallocation.
+  /// Throws std::invalid_argument, naming the resource, when `capacity` is
+  /// NaN or negative.
   void set_capacity(double capacity);
   /// Position in the owning model's resource table (registration order).
   [[nodiscard]] std::size_t index() const { return index_; }

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "sim/flow_model.hpp"
 
@@ -173,6 +176,120 @@ TEST(FlowModel, ProcessCanAwaitActivityCompletion) {
   engine.spawn(await_activity(engine, model, pipe, done_at));
   engine.run();
   EXPECT_NEAR(done_at, 5.0, 1e-9);
+}
+
+// ---- malformed inputs raise typed errors (Release has no asserts) ----------
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Runs `fn`, expecting std::invalid_argument whose message names `who`.
+template <typename Fn>
+void expect_rejected(Fn fn, const std::string& who) {
+  try {
+    fn();
+    ADD_FAILURE() << "no exception; expected one naming '" << who << "'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + who + "'"), std::string::npos) << e.what();
+  }
+}
+
+TEST(FlowInputValidation, AddResourceRejectsNaNCapacity) {
+  Engine engine;
+  FlowModel model(engine);
+  expect_rejected([&] { model.add_resource("membus", kNaN); }, "membus");
+}
+
+TEST(FlowInputValidation, AddResourceRejectsNegativeCapacity) {
+  Engine engine;
+  FlowModel model(engine);
+  expect_rejected([&] { model.add_resource("membus", -1.0); }, "membus");
+  // Zero and infinite capacities stay legal.
+  EXPECT_NE(model.add_resource("off", 0.0), nullptr);
+  EXPECT_NE(model.add_resource("unbounded", kInf), nullptr);
+}
+
+TEST(FlowInputValidation, SetCapacityRejectsNaNAndNegative) {
+  Engine engine;
+  FlowModel model(engine);
+  Resource* r = model.add_resource("link3", 10.0);
+  auto act = model.start(flow_through(r, 50.0));
+  expect_rejected([&] { r->set_capacity(kNaN); }, "link3");
+  expect_rejected([&] { r->set_capacity(-0.5); }, "link3");
+  EXPECT_EQ(r->capacity(), 10.0);  // rejected changes leave the resource as it was
+  engine.run();
+  EXPECT_DOUBLE_EQ(act->finished_at(), 5.0);
+}
+
+/// A well-formed spec on `r` labelled `label`, mutated by the caller.
+ActivitySpec labelled(Engine& engine, Resource* r, const char* label) {
+  ActivitySpec spec = flow_through(r, 10.0);
+  spec.label = engine.intern(label);
+  return spec;
+}
+
+TEST(FlowInputValidation, StartRejectsNaNOrNegativeWork) {
+  Engine engine;
+  FlowModel model(engine);
+  Resource* r = model.add_resource("pipe", 10.0);
+  ActivitySpec spec = labelled(engine, r, "copy-a");
+  spec.work = kNaN;
+  expect_rejected([&] { model.start(spec); }, "copy-a");
+  spec.work = -1.0;
+  expect_rejected([&] { model.start(spec); }, "copy-a");
+  EXPECT_EQ(model.running_count(), 0u);
+}
+
+TEST(FlowInputValidation, StartRejectsNonPositiveOrNonFiniteWeight) {
+  Engine engine;
+  FlowModel model(engine);
+  Resource* r = model.add_resource("pipe", 10.0);
+  ActivitySpec spec = labelled(engine, r, "dma-b");
+  for (double w : {0.0, -2.0, kNaN, kInf}) {
+    spec.weight = w;
+    expect_rejected([&] { model.start(spec); }, "dma-b");
+  }
+  EXPECT_EQ(model.running_count(), 0u);
+}
+
+TEST(FlowInputValidation, StartRejectsNullDemandResource) {
+  Engine engine;
+  FlowModel model(engine);
+  Resource* r = model.add_resource("pipe", 10.0);
+  ActivitySpec spec = labelled(engine, r, "kernel-c");
+  spec.demands.push_back({nullptr, 1.0});
+  expect_rejected([&] { model.start(spec); }, "kernel-c");
+  EXPECT_EQ(model.running_count(), 0u);
+}
+
+TEST(FlowInputValidation, StartRejectsNaNOrNegativeDemand) {
+  Engine engine;
+  FlowModel model(engine);
+  Resource* r = model.add_resource("pipe", 10.0);
+  ActivitySpec spec = labelled(engine, r, "stream-d");
+  spec.demands = {{r, kNaN}};
+  expect_rejected([&] { model.start(spec); }, "stream-d");
+  spec.demands = {{r, -3.0}};
+  expect_rejected([&] { model.start(spec); }, "stream-d");
+  EXPECT_EQ(model.running_count(), 0u);
+}
+
+TEST(FlowInputValidation, StartRejectsNaNRateCap) {
+  Engine engine;
+  FlowModel model(engine);
+  Resource* r = model.add_resource("pipe", 10.0);
+  ActivitySpec spec = labelled(engine, r, "poll-e");
+  spec.rate_cap = kNaN;
+  expect_rejected([&] { model.start(spec); }, "poll-e");
+  EXPECT_EQ(model.running_count(), 0u);
+  // A non-positive cap still means "no cap", and an unlabelled activity is
+  // named as such.
+  spec.rate_cap = -1.0;
+  auto act = model.start(spec);
+  ActivitySpec bad = flow_through(r, kNaN);
+  expect_rejected([&] { model.start(bad); }, "<unlabelled>");
+  engine.run();
+  EXPECT_DOUBLE_EQ(act->finished_at(), 1.0);
 }
 
 }  // namespace
