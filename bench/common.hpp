@@ -1,9 +1,6 @@
-// Shared helpers for the figure-reproduction benches.
-//
-// The sweep value lists (core counts, message sizes) that used to live
-// here moved into the spec layer: core::paper_core_counts() /
-// core::paper_message_sizes() in core/campaign.hpp, where figure
-// definitions declare *what* varies instead of hand-rolling loops.
+// Shared helpers for the cci_bench figures: the banner and the
+// environment-driven observability hookup.  Sweep value lists live in
+// core/campaign.hpp (core::paper_core_counts(), paper_message_sizes()).
 #pragma once
 
 #include <cstdlib>
@@ -21,7 +18,7 @@
 
 namespace cci::bench {
 
-/// Standard banner: which paper element this binary regenerates.
+/// Standard banner: which paper element the figure regenerates.
 inline void banner(const std::string& figure, const std::string& what) {
   std::cout << "=== " << figure << " — " << what << " ===\n";
   std::cout << "(simulated cluster; see EXPERIMENTS.md for paper-vs-measured)\n\n";

@@ -91,7 +91,7 @@ int run(FigureContext& ctx) {
 
 const FigureRegistrar reg(
     "fig04", "Fig. 4", "STREAM vs network performance (data near NIC, comm thread far)",
-    run, "fig04_memory_contention");
+    run);
 
 }  // namespace
 }  // namespace cci::bench

@@ -75,8 +75,7 @@ int run(FigureContext& ctx) {
 }
 
 const FigureRegistrar reg("fig05", "Fig. 5",
-                          "placement grid: data x comm-thread near/far from the NIC", run,
-                          "fig05_placement");
+                          "placement grid: data x comm-thread near/far from the NIC", run);
 
 }  // namespace
 }  // namespace cci::bench

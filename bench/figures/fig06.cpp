@@ -74,8 +74,7 @@ int run(FigureContext& ctx) {
 }
 
 const FigureRegistrar reg("fig06", "Fig. 6",
-                          "message-size sweep: who starts hurting whom, and when", run,
-                          "fig06_message_size");
+                          "message-size sweep: who starts hurting whom, and when", run);
 
 }  // namespace
 }  // namespace cci::bench

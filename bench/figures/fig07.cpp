@@ -78,7 +78,7 @@ int run(FigureContext& ctx) {
 
 const FigureRegistrar reg(
     "fig07", "Fig. 7", "memory pressure vs network performance (tunable-AI TRIAD, 35 cores)",
-    run, "fig07_arithmetic_intensity");
+    run);
 
 }  // namespace
 }  // namespace cci::bench

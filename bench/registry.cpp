@@ -1,11 +1,13 @@
 #include "bench/registry.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 
 #ifdef CCI_SCHED
 #include "sched/explorer.hpp"
@@ -31,7 +33,11 @@ FigureRegistry& FigureRegistry::instance() {
   return reg;
 }
 
-void FigureRegistry::add(FigureDef def) { defs_.push_back(std::move(def)); }
+void FigureRegistry::add(FigureDef def) {
+  if (find(def.name) != nullptr)
+    throw std::logic_error("cci_bench: figure '" + def.name + "' registered twice");
+  defs_.push_back(std::move(def));
+}
 
 const FigureDef* FigureRegistry::find(const std::string& name) const {
   for (const FigureDef& d : defs_)
@@ -49,9 +55,9 @@ std::vector<const FigureDef*> FigureRegistry::all() const {
 }
 
 FigureRegistrar::FigureRegistrar(std::string name, std::string title, std::string what,
-                                 FigureFn fn, std::string obs_name) {
-  FigureRegistry::instance().add({std::move(name), std::move(title), std::move(what),
-                                  std::move(fn), std::move(obs_name)});
+                                 FigureFn fn) {
+  FigureRegistry::instance().add(
+      {std::move(name), std::move(title), std::move(what), std::move(fn)});
 }
 
 namespace {
@@ -209,8 +215,11 @@ bool parse_flags(int argc, char** argv, core::CampaignOptions& options,
   return true;
 }
 
-}  // namespace
-
+/// Runs one figure: parses the campaign flags, sets up BenchObs + engine,
+/// prints the banner, runs the figure, and reports the campaign point
+/// totals.  A figure that runs no campaign prints no totals and rejects
+/// the flags that would only make sense for one (--shard i/n with n > 1,
+/// --timeline, --cache) with exit code 2.
 int run_cli(const std::string& figure, int argc, char** argv) {
   const FigureDef* def = FigureRegistry::instance().find(figure);
   if (def == nullptr) {
@@ -260,7 +269,7 @@ int run_cli(const std::string& figure, int argc, char** argv) {
     timeline = &timeline_file;
   }
 
-  BenchObs obs(def->obs_name.empty() ? def->name : def->obs_name);
+  BenchObs obs(def->name);
   banner(def->title, def->what);
   core::CampaignEngine engine(options);
   FigureContext ctx(engine, obs, std::cout, csv, timeline);
@@ -304,6 +313,20 @@ int run_cli(const std::string& figure, int argc, char** argv) {
   }
 #endif
 
+  if (!ctx.ran_campaign()) {
+    // A figure with its own loop prints the same table on every shard and
+    // samples no timeline; refuse the flags rather than emit wrong output.
+    if (options.shard_count > 1 || timeline != nullptr || !options.cache_dir.empty()) {
+      if (timeline != nullptr) {
+        timeline_file.close();
+        std::remove(timeline_path.c_str());
+      }
+      std::cerr << "cci_bench: figure '" << def->name
+                << "' runs no campaign; --shard, --timeline and --cache do not apply\n";
+      return 2;
+    }
+    return rc;
+  }
   std::cout << "\n[campaign] " << def->name << ": points total=" << engine.points_total()
             << " executed=" << engine.points_executed()
             << " cached=" << engine.points_cached() << " (jobs=" << options.jobs;
@@ -312,6 +335,8 @@ int run_cli(const std::string& figure, int argc, char** argv) {
   std::cout << ")\n";
   return rc;
 }
+
+}  // namespace
 
 int main_cli(int argc, char** argv) {
   if (argc < 2) {

@@ -1,11 +1,10 @@
 // Figure registry for the cci_bench multi-tool.
 //
-// Each paper figure registers one FigureDef: a name, banner metadata, and
-// a run function written against the campaign API.  One binary
-// (`cci_bench <figure> [--jobs N] [--csv out.csv] [--cache dir]
-// [--shard i/n] [--seed S]`) drives them all; the historical per-figure
-// binaries survive as thin shims that forward here (run_cli with a fixed
-// figure name), so existing scripts keep working.
+// Each paper figure, table and ablation registers one FigureDef: a name,
+// banner metadata, and a run function.  One binary (`cci_bench <figure>
+// [--jobs N] [--csv out.csv] [--cache dir] [--shard i/n] [--seed S]`)
+// drives them all.  Figures written against the campaign API get the
+// campaign flags; the others run their own loops and print to ctx.out().
 #pragma once
 
 #include <functional>
@@ -28,7 +27,10 @@ class FigureContext {
       : engine_(engine), obs_(obs), out_(out), csv_(csv), timeline_(timeline) {}
 
   /// Run (the local shard of) a campaign through the engine.
-  core::CampaignRun run(const core::Campaign& campaign) { return engine_.run(campaign); }
+  core::CampaignRun run(const core::Campaign& campaign) {
+    ran_campaign_ = true;
+    return engine_.run(campaign);
+  }
 
   /// Print a finished campaign's table to stdout and, when --csv was
   /// given, append the same table as CSV (prefixed by the campaign name).
@@ -39,6 +41,8 @@ class FigureContext {
   core::CampaignEngine& engine() { return engine_; }
   BenchObs& obs() { return obs_; }
   std::ostream& out() { return out_; }
+  /// Whether the figure ran any campaign (even one with no local points).
+  [[nodiscard]] bool ran_campaign() const { return ran_campaign_; }
 
  private:
   core::CampaignEngine& engine_;
@@ -47,6 +51,7 @@ class FigureContext {
   std::ostream* csv_;
   std::ostream* timeline_ = nullptr;
   bool timeline_header_written_ = false;
+  bool ran_campaign_ = false;
 };
 
 using FigureFn = std::function<int(FigureContext&)>;
@@ -56,12 +61,12 @@ struct FigureDef {
   std::string title;     ///< banner, e.g. "Fig. 4"
   std::string what;      ///< banner subtitle
   FigureFn fn;
-  std::string obs_name;  ///< bench name in CCI_RESULTS records (default: name)
 };
 
 class FigureRegistry {
  public:
   static FigureRegistry& instance();
+  /// Throws std::logic_error naming the figure if the name is taken.
   void add(FigureDef def);
   [[nodiscard]] const FigureDef* find(const std::string& name) const;
   /// All registered figures, name-sorted.
@@ -72,18 +77,9 @@ class FigureRegistry {
 };
 
 /// Static registrar: each bench/figures/*.cpp defines one at file scope.
-/// obs_name keeps the historical bench name on CCI_RESULTS records for
-/// figures whose shim binary had a different name than the CLI figure.
 struct FigureRegistrar {
-  FigureRegistrar(std::string name, std::string title, std::string what, FigureFn fn,
-                  std::string obs_name = "");
+  FigureRegistrar(std::string name, std::string title, std::string what, FigureFn fn);
 };
-
-/// Entry point shared by cci_bench (figure name from argv) and the
-/// per-figure shims (fixed figure name): parses the campaign flags, sets
-/// up BenchObs + engine, prints the banner, runs the figure, and reports
-/// the campaign point totals.
-int run_cli(const std::string& figure, int argc, char** argv);
 
 /// cci_bench main: `cci_bench <figure> [flags]`, `cci_bench --list`.
 int main_cli(int argc, char** argv);

@@ -1,16 +1,20 @@
 // Observability tour: the cross-layer metrics registry and span tracer
-// (src/obs), plus the hardware counters (the pmu-tools substitute) and
-// frequency residency — the instruments behind Fig. 2/3/10.
+// (src/obs), plus the simulated-time sampler's hardware-counter views
+// (the pmu-tools substitute): memory-controller load and frequency
+// residency — the instruments behind Fig. 2/3/10.
 //
 // The tour enables the global obs::Registry up front, runs a small
-// task-DAG workload, dumps every metric the layers recorded, and writes
-// a Chrome trace file (open it at https://ui.perfetto.dev).
+// task-DAG workload under a sampler, dumps every metric the layers
+// recorded, and writes a Chrome trace file (open it at
+// https://ui.perfetto.dev).
+#include <algorithm>
 #include <iostream>
+#include <map>
 
-#include "hw/counters.hpp"
 #include "kernels/stream.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sampler.hpp"
 #include "runtime/runtime.hpp"
 #include "trace/metrics_table.hpp"
 #include "trace/table.hpp"
@@ -22,11 +26,17 @@ int main() {
   obs::Registry::global().set_enabled(true);
   obs::Registry::global().tracer().set_enabled(true);
 
+  // Every 0.5 ms of simulated time the sampler records what changed in the
+  // registry: gauge values (utilization, pressure, frequencies) and counter
+  // deltas (work moved through each resource).
+  obs::TimelineStore timeline;
+  obs::SamplerConfig sampling;
+  sampling.period = 0.5e-3;
+  obs::Sampler sampler(obs::Registry::global(), timeline, sampling);
+
   net::Cluster cluster(hw::MachineConfig::henri(), net::NetworkParams::ib_edr());
   mpi::World world(cluster, {{0, -1}, {1, -1}});
-
-  hw::CounterSampler counters(cluster.machine(0), 0.5e-3);
-  counters.start();
+  cluster.engine().set_sampler(&sampler);
 
   runtime::RuntimeConfig cfg = runtime::RuntimeConfig::for_machine("henri");
   cfg.workers = 8;
@@ -45,13 +55,15 @@ int main() {
   for (auto* m : mids) runtime::Runtime::add_dependency(m, tail);
 
   auto& done = rt.run();
-  cluster.engine().spawn([](runtime::Runtime& r, sim::OneShotEvent& d,
-                            hw::CounterSampler& c) -> sim::Coro {
+  cluster.engine().spawn([](runtime::Runtime& r, sim::OneShotEvent& d) -> sim::Coro {
     co_await d;
     r.shutdown();
-    c.stop();
-  }(rt, done, counters));
+  }(rt, done));
   cluster.engine().run();
+  // The sampler only records at ticks: one more flushes the last partial
+  // period, whose work would otherwise be missing from the timeline.
+  const double end = sampler.next_tick();
+  sampler.advance_to(end);
 
   std::cout << "Task execution trace (Gantt rows):\n";
   trace::Table gantt({"task", "core", "data_numa", "start_ms", "end_ms"});
@@ -61,19 +73,45 @@ int main() {
                         trace::fmt(rec.end * 1e3, 3)});
   gantt.print(std::cout);
 
-  std::cout << "\nMemory-controller counters (node 0):\n";
+  // Gauge rows mark changes, so a value holds until the series' next row
+  // (or the end of the run): that step function gives time-weighted means
+  // and residencies.  Counter rows are deltas: their sum is the total.
+  auto rows = [&](const std::string& series) {
+    std::vector<obs::TimelineRow> out;
+    for (std::size_t i = 0; i < timeline.size(); ++i)
+      if (timeline.series_names()[timeline.row(i).series] == series)
+        out.push_back(timeline.row(i));
+    return out;
+  };
+  auto residency = [&](const std::string& series) {
+    std::map<double, double> held;  // value -> seconds
+    const std::vector<obs::TimelineRow> r = rows(series);
+    for (std::size_t i = 0; i < r.size(); ++i)
+      held[r[i].value] += (i + 1 < r.size() ? r[i + 1].time : end) - r[i].time;
+    return held;
+  };
+
+  std::cout << "\nMemory-controller counters (node 0, from the sampler timeline):\n";
   trace::Table ctrl({"numa", "mean_util", "peak_pressure", "GB_moved"});
   for (int n = 0; n < 4; ++n) {
-    auto s = counters.mem_ctrl_stats(n);
-    ctrl.add_text_row({std::to_string(n), trace::fmt(s.mean_utilization, 2),
-                       trace::fmt(s.peak_pressure, 2),
-                       trace::fmt(s.bytes_transferred / 1e9, 3)});
+    const std::string res = "sim.resource." + cluster.machine(0).mem_ctrl(n)->name();
+    double mean_util = 0.0;
+    for (const auto& [util, seconds] : residency(res + ".utilization"))
+      mean_util += util * seconds / end;
+    double peak_pressure = 0.0;
+    for (const obs::TimelineRow& row : rows(res + ".pressure"))
+      peak_pressure = std::max(peak_pressure, row.value);
+    double bytes = 0.0;
+    for (const obs::TimelineRow& row : rows(res + ".work_units")) bytes += row.value;
+    ctrl.add_text_row({std::to_string(n), trace::fmt(mean_util, 2),
+                       trace::fmt(peak_pressure, 2), trace::fmt(bytes / 1e9, 3)});
   }
   ctrl.print(std::cout);
 
   std::cout << "\nFrequency residency of core 0 (seconds at each frequency):\n";
-  for (auto& [freq, seconds] : counters.freq_residency(0))
-    std::cout << "  " << freq / 1e9 << " GHz : " << trace::format_time(seconds) << "\n";
+  for (auto& [freq, seconds] : residency("hw.freq.node0.core0_hz"))
+    if (seconds > 0.0)
+      std::cout << "  " << freq / 1e9 << " GHz : " << trace::format_time(seconds) << "\n";
 
   // Everything above was also captured by the cross-layer registry: dump
   // it (name-sorted, deterministic) and export the span timeline.
